@@ -34,14 +34,13 @@ from .obstruction import (
     legendre,
 )
 from .primes import is_prime, odd_primes_upto
-from .series import Coefficient, FiltrationIdeal, TruncatedSeries
+from .series import Coefficient, TruncatedSeries
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Coefficient",
     "DegreeMapModel",
-    "FiltrationIdeal",
     "ForcedGenusReport",
     "GenusPsiModel",
     "RectorInvariant",

@@ -15,8 +15,10 @@ for psi^p:
 * ``pullback_then_psi`` pulls the generator back first and applies psi^p
   downstairs by substitution.
 
-Both are exact and unreduced; callers cut them by a filtration ideal and a
-prime-square modulus and compare coefficients.
+Both are exact and unreduced; callers compare their t^(p+1) coefficients
+modulo p^2.  t^n has skeletal filtration 2n, so the filtration cut at 2p+3
+that the comparison needs is truncation at order p+2, the smallest working
+order both routes accept.
 """
 
 from __future__ import annotations
@@ -39,6 +41,13 @@ def check_sign(value: int) -> int:
     if value not in (1, -1) or isinstance(value, bool):
         raise ValueError(f"sign must be +1 or -1, got {value!r}")
     return value
+
+
+def check_degree(k: int) -> int:
+    """Validate and return a map degree, which must be a non-zero int."""
+    if not isinstance(k, int) or isinstance(k, bool) or k == 0:
+        raise ValueError(f"degree must be a non-zero integer, got {k!r}")
+    return k
 
 
 def sign_to_str(value: int) -> str:
@@ -142,8 +151,7 @@ class DegreeMapModel:
     higher: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.degree, int) or isinstance(self.degree, bool) or self.degree == 0:
-            raise ValueError(f"degree must be a non-zero integer, got {self.degree!r}")
+        check_degree(self.degree)
         higher = tuple(self.higher)
         for c in higher:
             if not isinstance(c, int):
@@ -171,8 +179,9 @@ class GenusPsiModel:
     unknown terms of the action are recorded by their pullback images:
     ``w_image`` may only be supported in filtration >= 2p+3 (so above
     t^(p+1)) and ``z_image`` in filtration >= 4 (so above t^1).  Those two
-    constraints are exactly what makes the unknowns drop out after
-    reduction.
+    constraints are exactly what makes the unknowns drop out of the t^(p+1)
+    coefficient mod p^2.  Since t^n has filtration 2n, the cut at 2p+3 is
+    truncation at order p+2, where w_image is necessarily zero.
     """
 
     p: int
@@ -235,9 +244,10 @@ def pullback_then_psi(p: int, f: DegreeMapModel, order: int) -> TruncatedSeries:
 
 # -- seeded random models ----------------------------------------------------
 #
-# The independence claims ("the reduced series does not depend on the unknown
-# terms") are certified numerically by sweeping seeded random choices through
-# the two routes.  Draw order is fixed: the map model first, then w, then z.
+# The independence claims ("the t^(p+1) coefficient mod p^2 does not depend
+# on the unknown terms") are certified numerically by sweeping seeded random
+# choices through the two routes.  Draw order is fixed: the map model first,
+# then w, then z.
 
 
 def random_degree_map(

@@ -14,7 +14,7 @@ from typing import Optional
 from .adams import check_composition, check_frobenius, psi_apply, psi_generator
 from .obstruction import compatible, compatible_bruteforce, legendre
 from .primes import odd_primes_upto
-from .series import FiltrationIdeal, TruncatedSeries
+from .series import TruncatedSeries
 
 
 @dataclass
@@ -76,11 +76,10 @@ def ring_axiom_suite(trials: int = 1000, max_order: int = 16, seed: int = 0) -> 
         ]
         f, g, h = (_random_reduced(rng, n) for _ in range(3))
         laws.append(("compose associates", f.compose(g).compose(h) == f.compose(g.compose(h))))
-        ideal = FiltrationIdeal(rng.randint(0, 2 * n + 2))
         m = rng.randint(1, 60)
 
         def red(x):
-            return x.reduce(ideal, m)
+            return x.reduce(m)
 
         laws.extend(
             [

@@ -3,8 +3,12 @@
 Everything here is exact.  An element of Z[[t]]/(t^N) is stored as a tuple
 of exactly N Python ints (index n holds the coefficient of t^n), so binomial
 coefficients and large powers never overflow or round.  The generator t is
-graded so that t^n sits in skeletal filtration degree 2n, which is the
-grading `FiltrationIdeal` cuts against.
+graded so that t^n sits in skeletal filtration degree 2n.  The ideal of
+filtration >= s is therefore spanned by the t^n with 2n >= s, and cutting by
+it *is* truncation at order ceil(s/2): the truncation order carries the
+filtration.  In particular the cut at 2p+3, which keeps the t^(p+1) term
+(filtration 2p+2) that the psi^p square is read at, is truncation at order
+p+2.
 
 Series of different orders never mix: combining them is a hard error, not an
 implicit re-truncation, because silent truncation is exactly the kind of
@@ -16,32 +20,11 @@ instances can be shared freely across threads or processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul as _int_mul
-from typing import Iterable, Optional
+from typing import Iterable
 
 #: Coefficients are plain Python ints: signed, arbitrary precision.
 Coefficient = int
-
-
-@dataclass(frozen=True)
-class FiltrationIdeal:
-    """The ideal of series supported in skeletal filtration >= s.
-
-    t^n has filtration 2n, so the monomial t^n lies in the ideal exactly
-    when 2n >= s.  Reducing by the ideal zeroes those coefficients and
-    fixes all others.
-    """
-
-    s: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.s, int) or self.s < 0:
-            raise ValueError(f"filtration degree must be a non-negative integer, got {self.s!r}")
-
-    def kills(self, n: int) -> bool:
-        """Whether reduction by this ideal zeroes the coefficient of t^n."""
-        return 2 * n >= self.s
 
 
 class TruncatedSeries:
@@ -179,29 +162,15 @@ class TruncatedSeries:
             acc = acc * inner + c
         return acc
 
-    def reduce(
-        self,
-        ideal: Optional[FiltrationIdeal] = None,
-        modulus: Optional[int] = None,
-    ) -> "TruncatedSeries":
-        """Zero the coefficients the ideal kills, then take the remaining ones
-        into the canonical residue range [0, modulus).
+    def reduce(self, modulus: int) -> "TruncatedSeries":
+        """Take every coefficient into the canonical residue range [0, modulus).
 
-        Either argument may be None to skip that half of the reduction.
         Canonical residues mean equality after reduction is plain
         coefficient equality; no separate congruence predicate is needed.
         """
-        if modulus is not None and (not isinstance(modulus, int) or modulus < 1):
-            raise ValueError(f"modulus must be a positive integer or None, got {modulus!r}")
-        out = []
-        for n, c in enumerate(self.coeffs):
-            if ideal is not None and ideal.kills(n):
-                out.append(0)
-            elif modulus is not None:
-                out.append(c % modulus)
-            else:
-                out.append(c)
-        return TruncatedSeries(self.order, out)
+        if not isinstance(modulus, int) or modulus < 1:
+            raise ValueError(f"modulus must be a positive integer, got {modulus!r}")
+        return TruncatedSeries(self.order, [c % modulus for c in self.coeffs])
 
     # -- comparison and display --------------------------------------------
 

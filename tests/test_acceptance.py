@@ -8,7 +8,7 @@ the lines as they complete.
 import random
 import time
 
-from hpgenus.adams import check_composition, check_frobenius
+from hpgenus import selftest
 from hpgenus.genus import (
     make_genus,
     psi_then_pullback,
@@ -16,16 +16,8 @@ from hpgenus.genus import (
     random_degree_map,
     random_psi_model,
 )
-from hpgenus.obstruction import (
-    admissible,
-    compatible,
-    compatible_bruteforce,
-    example_xp,
-    forced_genus,
-    legendre,
-)
+from hpgenus.obstruction import admissible, compatible, example_xp, forced_genus, legendre
 from hpgenus.primes import odd_primes_upto
-from hpgenus.series import FiltrationIdeal, TruncatedSeries
 
 SEED = 0
 MAX_PRIME = 31
@@ -38,6 +30,12 @@ def _report(number, description, failures, started=None):
     elapsed = f" [{time.perf_counter() - started:.1f}s]" if started is not None else ""
     print(f"acceptance criterion {number}: {status}: {description}{elapsed}")
     assert not failures, f"criterion {number} first violations: {failures[:5]}"
+
+
+def _report_suites(number, description, started, *results):
+    """Report selftest suites as one criterion, one violation line per failing suite."""
+    failures = [(r.name, r.failures, r.first_counterexample) for r in results if not r.ok]
+    _report(number, description, failures, started)
 
 
 def _degrees(p=None):
@@ -55,14 +53,13 @@ def test_criterion_1_rhs_coefficient_law():
     failures = []
     for p in odd_primes_upto(MAX_PRIME):
         order = p + 2
-        ideal = FiltrationIdeal(2 * p + 3)
         modulus = p * p
         for k in _degrees():
             expected = (2 * p * k) % modulus
             rng = random.Random(f"{SEED}:acceptance-rhs:{p}:{k}")
             for _ in range(TRIALS):
                 f = random_degree_map(rng, k, order)
-                got = pullback_then_psi(p, f, order).reduce(ideal, modulus).coefficient(p + 1)
+                got = pullback_then_psi(p, f, order).coefficient(p + 1) % modulus
                 if got != expected:
                     failures.append((p, k, got, expected))
                     break
@@ -76,7 +73,6 @@ def test_criterion_2_lhs_coefficient_law():
     failures = []
     for p in odd_primes_upto(MAX_PRIME):
         order = p + 4  # head room so the random w image has non-zero slots
-        ideal = FiltrationIdeal(2 * p + 3)
         modulus = p * p
         for k in _degrees(p):
             for eps in (1, -1):
@@ -85,11 +81,7 @@ def test_criterion_2_lhs_coefficient_law():
                 for _ in range(TRIALS):
                     f = random_degree_map(rng, k, order)
                     model = random_psi_model(rng, p, eps, order)
-                    got = (
-                        psi_then_pullback(model, f, order)
-                        .reduce(ideal, modulus)
-                        .coefficient(p + 1)
-                    )
+                    got = psi_then_pullback(model, f, order).coefficient(p + 1) % modulus
                     if got != expected:
                         failures.append((p, k, eps, got, expected))
                         break
@@ -100,54 +92,29 @@ def test_criterion_3_bruteforce_equals_criterion():
     """The brute-force series verdict agrees with the closed-form sign
     criterion on the whole sweep: zero disagreements."""
     started = time.perf_counter()
-    failures = []
-    for p in odd_primes_upto(MAX_PRIME):
-        for k in _degrees(p):
-            for eps in (1, -1):
-                closed = compatible(p, eps, k)
-                brute = compatible_bruteforce(p, eps, k, trials=TRIALS, seed=SEED)
-                if closed != brute:
-                    failures.append((p, k, eps, closed, brute))
-    _report(3, "series expansion equals the closed-form criterion", failures, started)
+    result = selftest.lemma_equivalence_suite(MAX_PRIME, MAX_DEGREE, TRIALS, SEED)
+    _report_suites(3, "series expansion equals the closed-form criterion", started, result)
 
 
 def test_criterion_4_legendre_against_enumeration():
     """Euler-criterion symbol equals exhaustive square enumeration for all
     odd p <= 199 and all k in [1, p), and is multiplicative in k."""
     started = time.perf_counter()
-    failures = []
-    for p in odd_primes_upto(199):
-        squares = {x * x % p for x in range(1, p)}
-        table = {}
-        for k in range(1, p):
-            table[k] = legendre(k, p)
-            if table[k] != (1 if k in squares else -1):
-                failures.append(("enumeration", p, k))
-        for a in range(1, p):
-            for b in range(1, p):
-                if table[a * b % p] != table[a] * table[b]:
-                    failures.append(("multiplicativity", p, a, b))
-    _report(4, "Legendre symbol vs square enumeration and multiplicativity", failures, started)
+    result = selftest.legendre_oracle_suite(199)
+    _report_suites(
+        4, "Legendre symbol vs square enumeration and multiplicativity", started, result
+    )
 
 
 def test_criterion_5_adams_operation_laws():
     """psi^a psi^b = psi^(ab) exactly for a, b <= 12 at order 32, and
     psi^p(f) = f^p mod p for all primes p <= 31 over 500 random series."""
     started = time.perf_counter()
-    failures = []
-    for a in range(1, 13):
-        for b in range(1, 13):
-            if not check_composition(a, b, 32):
-                failures.append(("composition", a, b))
-    primes = [2] + odd_primes_upto(MAX_PRIME)
-    rng = random.Random(f"{SEED}:acceptance-frobenius")
-    for _ in range(500):
-        n = rng.randint(2, 16)
-        f = TruncatedSeries(n, [0] + [rng.randint(-9, 9) for _ in range(n - 1)])
-        for p in primes:
-            if not check_frobenius(p, f):
-                failures.append(("frobenius", p, f.coeffs))
-    _report(5, "Adams composition law and Frobenius congruence", failures, started)
+    laws = selftest.adams_law_suite(12, 32, TRIALS, SEED)
+    frobenius = selftest.frobenius_suite(MAX_PRIME, 500, SEED)
+    _report_suites(
+        5, "Adams composition law and Frobenius congruence", started, laws, frobenius
+    )
 
 
 def test_criterion_6_only_all_plus_survives_degree_one():

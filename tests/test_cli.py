@@ -150,6 +150,15 @@ class TestAdmissible:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("scope", [("--primes", ",,"), ("--bound", "2")])
+    def test_empty_prime_set_exits_one(self, capsys, scope):
+        code, out, err = run_cli(
+            capsys, "admissible", "--degree", "1", "--genus", "default=+1", *scope
+        )
+        assert code == 1
+        assert out == ""
+        assert "empty" in err
+
     def test_json_verdict_shape(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from hpgenus.genus import (
     DegreeMapModel,
@@ -14,7 +15,7 @@ from hpgenus.genus import (
     sign_from_str,
     sign_to_str,
 )
-from hpgenus.series import FiltrationIdeal, TruncatedSeries
+from hpgenus.series import TruncatedSeries
 
 
 class TestSigns:
@@ -145,10 +146,10 @@ class TestPsiThenPullback:
         rng = random.Random(f"reduced:{p}:{k}:{epsilon}")
         f = random_degree_map(rng, k, order)
         model = random_psi_model(rng, p, epsilon, order)
-        reduced = psi_then_pullback(model, f, order).reduce(FiltrationIdeal(2 * p + 3), p * p)
-        expected = [0] * order
+        reduced = psi_then_pullback(model, f, order).reduce(p * p).coeffs[: p + 2]
+        expected = [0] * (p + 2)
         expected[p + 1] = (2 * epsilon * p * k ** ((p + 1) // 2)) % (p * p)
-        assert reduced == TruncatedSeries(order, expected)
+        assert reduced == tuple(expected)
 
     def test_degree_sharing_a_factor_with_p_rejected(self):
         model = GenusPsiModel.with_zero_unknowns(3, 1, 7)
@@ -173,11 +174,11 @@ class TestPullbackThenPsi:
         assert got == TruncatedSeries(7, [0, 0, 9, 18, 15, 6, 1])
 
     def test_unit_degree_reduced(self):
-        got = pullback_then_psi(3, DegreeMapModel(1), 7).reduce(FiltrationIdeal(9), 9)
-        assert got == TruncatedSeries(7, [0, 0, 0, 0, 6, 0, 0])
+        got = pullback_then_psi(3, DegreeMapModel(1), 7).reduce(9)
+        assert got.coeffs[:5] == (0, 0, 0, 0, 6)
 
     def test_degree_two_reduced(self):
-        got = pullback_then_psi(3, DegreeMapModel(2), 7).reduce(FiltrationIdeal(9), 9)
+        got = pullback_then_psi(3, DegreeMapModel(2), 7).reduce(9)
         # 2pk = 12, and 12 mod 9 = 3
         assert got.coefficient(4) == 3
 
@@ -198,25 +199,52 @@ class TestReductionStability:
     @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 3), (7, -4)])
     def test_psi_then_pullback_independent_of_unknowns(self, p, k):
         order = p + 4
-        ideal = FiltrationIdeal(2 * p + 3)
         for epsilon in (1, -1):
             rng = random.Random(f"stability:{p}:{k}:{epsilon}")
             seen = set()
             for _ in range(200):
                 f = random_degree_map(rng, k, order)
                 model = random_psi_model(rng, p, epsilon, order)
-                seen.add(psi_then_pullback(model, f, order).reduce(ideal, p * p))
+                seen.add(psi_then_pullback(model, f, order).reduce(p * p).coeffs[: p + 2])
             assert len(seen) == 1
 
     @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 3), (7, -4), (5, 10)])
     def test_pullback_then_psi_independent_of_higher_terms(self, p, k):
         order = p + 4
-        ideal = FiltrationIdeal(2 * p + 3)
         rng = random.Random(f"stability-rhs:{p}:{k}")
         seen = set()
         for _ in range(200):
             f = random_degree_map(rng, k, order)
-            seen.add(pullback_then_psi(p, f, order).reduce(ideal, p * p))
+            seen.add(pullback_then_psi(p, f, order).reduce(p * p).coeffs[: p + 2])
         assert len(seen) == 1
         (reduced,) = seen
-        assert reduced.coefficient(p + 1) == (2 * p * k) % (p * p)
+        assert reduced[p + 1] == (2 * p * k) % (p * p)
+
+    @given(
+        st.sampled_from([3, 5, 7, 11, 31]),
+        st.integers(-50, 50).filter(lambda k: k != 0),
+        st.sampled_from([1, -1]),
+        st.data(),
+    )
+    def test_t_p_plus_1_coefficient_is_read_at_order_p_plus_2(self, p, k, epsilon, data):
+        """Both routes give the same t^(p+1) coefficient at order p+4 as at
+        order p+2 on the truncated map and unknowns."""
+        assume(k % p != 0)
+        wide, narrow = p + 4, p + 2
+
+        def draw(n):
+            return data.draw(st.lists(st.integers(-99, 99), min_size=n, max_size=n))
+
+        f = DegreeMapModel(k, tuple(draw(wide - 3)))
+        w = TruncatedSeries(wide, [0] * narrow + draw(wide - narrow))
+        z = TruncatedSeries(wide, [0, 0] + draw(wide - 2))
+        model = GenusPsiModel(p, epsilon, w, z)
+        truncated = GenusPsiModel(
+            p, epsilon, TruncatedSeries.zero(narrow), TruncatedSeries(narrow, z.coeffs[:narrow])
+        )
+        assert psi_then_pullback(model, f, wide).coefficient(p + 1) == psi_then_pullback(
+            truncated, f, narrow
+        ).coefficient(p + 1)
+        assert pullback_then_psi(p, f, wide).coefficient(p + 1) == pullback_then_psi(
+            p, f, narrow
+        ).coefficient(p + 1)

@@ -165,6 +165,10 @@ class TestAdmissible:
         with pytest.raises(ValueError):
             admissible(make_genus(1, {}), 0, [3])
 
+    def test_empty_prime_set_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            admissible(make_genus(1, {}), 1, [])
+
     def test_verdict_json_shape(self):
         verdict = admissible(make_genus(1, {3: -1}), 1, [3])
         assert verdict.to_json_dict() == {

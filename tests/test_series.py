@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from hpgenus.series import FiltrationIdeal, TruncatedSeries
+from hpgenus.series import TruncatedSeries
 
 from oracles import schoolbook_compose, schoolbook_mul
 
@@ -207,26 +207,12 @@ class TestCoefficient:
 
 
 class TestReduce:
-    def test_filtration_and_modulus(self):
-        f = TruncatedSeries(7, [0, 0, 9, 18, 15, 6, 1])
-        reduced = f.reduce(FiltrationIdeal(9), 9)
-        # t^5, t^6 die (2n >= 9); 15 becomes 6 mod 9
-        assert reduced == TruncatedSeries(7, [0, 0, 0, 0, 6, 0, 0])
-
-    def test_zero_filtration_kills_everything(self):
-        f = TruncatedSeries(5, [4, -3, 2, 1, 7])
-        assert f.reduce(FiltrationIdeal(0)).is_zero
-
-    def test_low_degrees_survive(self):
-        t3 = TruncatedSeries.monomial(5, 3)
-        assert t3.reduce(FiltrationIdeal(9)) == t3
-
     def test_zero_modulus_rejected(self):
         f = TruncatedSeries(3, [1])
         with pytest.raises(ValueError):
-            f.reduce(None, 0)
+            f.reduce(0)
         with pytest.raises(ValueError):
-            f.reduce(FiltrationIdeal(4), -5)
+            f.reduce(-5)
 
     def test_modulus_only(self):
         f = TruncatedSeries(4, [-1, 5, 9, -10])
@@ -234,25 +220,19 @@ class TestReduce:
 
     def test_canonical_residues(self):
         f = TruncatedSeries(3, [-1, -14, 20])
-        assert all(0 <= c < 9 for c in f.reduce(None, 9).coeffs)
+        assert all(0 <= c < 9 for c in f.reduce(9).coeffs)
 
-    def test_negative_filtration_degree_rejected(self):
-        with pytest.raises(ValueError):
-            FiltrationIdeal(-1)
+    @given(series_st(), st.integers(1, 60))
+    def test_idempotent(self, f, m):
+        once = f.reduce(m)
+        assert once.reduce(m) == once
 
-    @given(series_st(), st.integers(0, 40), st.integers(1, 60))
-    def test_idempotent(self, f, s, m):
-        ideal = FiltrationIdeal(s)
-        once = f.reduce(ideal, m)
-        assert once.reduce(ideal, m) == once
-
-    @given(same_order_pair_st(), st.integers(0, 40), st.integers(1, 60))
-    def test_commutes_with_add_and_mul(self, pair, s, m):
+    @given(same_order_pair_st(), st.integers(1, 60))
+    def test_commutes_with_add_and_mul(self, pair, m):
         a, b = pair
-        ideal = FiltrationIdeal(s)
 
         def red(x):
-            return x.reduce(ideal, m)
+            return x.reduce(m)
 
         assert red(a + b) == red(red(a) + red(b))
         assert red(a * b) == red(red(a) * red(b))
@@ -284,7 +264,7 @@ class TestValueSemantics:
         a = TruncatedSeries(4, [1, 2, 3, 4])
         b = TruncatedSeries(4, [4, 3, 2, 1])
         snapshot_a, snapshot_b = a.coeffs, b.coeffs
-        a + b, a * b, -a, a - b, a**3, a.reduce(FiltrationIdeal(3), 5)
+        a + b, a * b, -a, a - b, a**3, a.reduce(5)
         assert a.coeffs == snapshot_a and b.coeffs == snapshot_b
 
     def test_equality_and_hash(self):
