@@ -4,15 +4,22 @@ psi^r is the ring endomorphism determined by where it sends the generator:
 t maps to (1 + t)^r - 1.  Applying psi^r to an arbitrary reduced class is
 substitution of that image for t, never a per-monomial coefficient formula,
 so the endomorphism laws are structural rather than tabulated.
+
+``psi_apply(r, f)`` returns a series in f's ring.  On an integer series it
+is ``f.compose(psi_generator(r, f.order))``.  On a residue series mod m it
+is that value reduced mod m, read off a cached table of the generator
+image's powers mod m; reduction commutes with substitution, so
+``psi_apply(r, f.reduce(m)) == psi_apply(r, f).reduce(m)``.  The table
+cache is bounded.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from operator import mul
 
 from .primes import is_prime
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _mul, _pack, _residue_slot, _slots
 
 
 def _check_index(r: int) -> None:
@@ -27,43 +34,51 @@ def psi_generator(r: int, order: int) -> TruncatedSeries:
     the t^1 coefficient is r.
     """
     _check_index(r)
-    top = min(r, order - 1) if order >= 1 else 0
-    return TruncatedSeries(order, [0] + [comb(r, n) for n in range(1, top + 1)])
+    coeffs = [0]
+    c = 1
+    for n in range(1, min(r, order - 1) + 1):
+        c = c * (r - n + 1) // n  # C(r, n) from C(r, n - 1), exactly
+        coeffs.append(c)
+    return TruncatedSeries(order, coeffs)
 
 
-@lru_cache(maxsize=None)
-def _generator_powers(r: int, order: int) -> tuple[TruncatedSeries, ...]:
-    # Substitution sweeps hit the same generator image thousands of times,
-    # so its powers are computed once per (r, order) and reused.
-    g = psi_generator(r, order)
-    powers = [TruncatedSeries.one(order), g]
-    for _ in range(2, order):
-        powers.append(powers[-1] * g)
-    return tuple(powers[:order])
+@lru_cache(maxsize=64)
+def _psi_rows(r: int, order: int, modulus: int) -> tuple[int, ...]:
+    # Row j - 1 is g^j mod modulus for the generator image g, packed in the
+    # kernel's residue slots, so applying psi^r is one sum of scalar
+    # multiples of rows.  g^j vanishes below t^j, so each power is the
+    # product of two shorter tails.  The rows stop at the first power that
+    # is zero, since every higher one is too: mod p^2, g = (1 + t)^p - 1 is
+    # p*t + ... + t^p, and g^3 is zero below t^(p+2).
+    size, code = _residue_slot(order, modulus)
+    g = [c % modulus for c in psi_generator(r, order).coeffs]
+    rows = []
+    power = g
+    for j in range(1, order):
+        if not any(power):
+            break
+        rows.append(_pack(power, size, code))
+        power = [0] * j + _mul(power[j:], g[: order - j], order - j, modulus)
+    return tuple(rows)
 
 
 def psi_apply(r: int, f: TruncatedSeries) -> TruncatedSeries:
-    """Apply psi^r to a series with zero constant term.
+    """Apply psi^r to a series with zero constant term, in the series' own ring.
 
-    The value equals ``f.compose(psi_generator(r, f.order))``; the cached
-    power table of the generator image only changes the evaluation order,
-    not the result.
+    The value equals ``f.compose(psi_generator(r, f.order))``, reduced mod
+    f's modulus when it has one.
     """
     _check_index(r)
     if f.coefficient(0) != 0:
         raise ValueError("psi acts on reduced classes: the constant term must be zero")
-    n = f.order
-    powers = _generator_powers(r, n)
-    acc = [0] * n
-    for m in range(1, n):
-        c = f.coeffs[m]
-        if c:
-            g = powers[m].coeffs
-            # the generator image has no constant term, so its m-th power
-            # starts at degree m
-            for i in range(m, n):
-                acc[i] += c * g[i]
-    return TruncatedSeries(n, acc)
+    n, m = f.order, f.modulus
+    if m is None:
+        return f.compose(psi_generator(r, n))
+    # every slot of the sum holds at most n - 1 products of residues; the
+    # coefficients past the last row multiply zero powers
+    total = sum(map(mul, f.coeffs[1:], _psi_rows(r, n, m)))
+    size, code = _residue_slot(n, m)
+    return TruncatedSeries._trusted(n, [c % m for c in _slots(total, size, code, n)], m)
 
 
 def check_composition(a: int, b: int, order: int) -> bool:
@@ -87,4 +102,6 @@ def check_frobenius(p: int, f: TruncatedSeries) -> bool:
         raise ValueError(f"the Frobenius congruence needs a prime, got {p!r}")
     if f.coefficient(0) != 0:
         raise ValueError("the constant term must be zero")
-    return (psi_apply(p, f) - f**p).reduce(modulus=p).is_zero
+    # reduction mod p commutes with psi^p and with powers
+    residues = f.reduce(p)
+    return psi_apply(p, residues) == residues**p

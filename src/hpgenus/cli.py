@@ -161,8 +161,8 @@ def _cmd_verify_lemma(args) -> int:
     modulus = p * p
     f = DegreeMapModel(k)
     model = GenusPsiModel.with_zero_unknowns(p, epsilon, order)
-    lhs = psi_then_pullback(model, f, order).coefficient(p + 1) % modulus
-    rhs = pullback_then_psi(p, f, order).coefficient(p + 1) % modulus
+    lhs = psi_then_pullback(model, f, order).coefficient(p + 1)
+    rhs = pullback_then_psi(p, f, order).coefficient(p + 1)
     agree = closed == brute
     payload = {
         "command": "verify-lemma",

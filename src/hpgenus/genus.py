@@ -15,10 +15,13 @@ for psi^p:
 * ``pullback_then_psi`` pulls the generator back first and applies psi^p
   downstairs by substitution.
 
-Both are exact and unreduced; callers compare their t^(p+1) coefficients
-modulo p^2.  t^n has skeletal filtration 2n, so the filtration cut at 2p+3
-that the comparison needs is truncation at order p+2, the smallest working
-order both routes accept.
+The comparison is of the t^(p+1) coefficients modulo p^2, so both routes
+reduce the pullback S of the generator mod p^2 once and compute in
+(Z/p^2)[t]/(t^order): they return residue series mod p^2, which are the
+residues of the exact integer routes because reduction and truncation are
+ring homomorphisms.  t^n has skeletal filtration 2n, so the filtration cut
+at 2p+3 that the comparison needs is truncation at order p+2, the smallest
+working order both routes accept.
 """
 
 from __future__ import annotations
@@ -208,10 +211,11 @@ class GenusPsiModel:
 
 
 def psi_then_pullback(model: GenusPsiModel, f: DegreeMapModel, order: int) -> TruncatedSeries:
-    """Apply psi^p upstairs, then pull back along f.  Exact and unreduced.
+    """Apply psi^p upstairs, then pull back along f.  A residue series mod p^2.
 
     With S the pullback of the generator, this is
-    S^p + 2*epsilon*p*S^((p+1)/2) + p*w_image + p^2*z_image.
+    S^p + 2*epsilon*p*S^((p+1)/2) + p*w_image + p^2*z_image mod p^2, where
+    the z term vanishes.
     """
     p = model.p
     if order < p + 2:
@@ -220,26 +224,23 @@ def psi_then_pullback(model: GenusPsiModel, f: DegreeMapModel, order: int) -> Tr
         raise ValueError(f"degree {f.degree} shares a factor with the prime {p}")
     if model.w_image.order != order or model.z_image.order != order:
         raise ValueError("unknown-term images must be given at the working order")
-    s = f.as_series(order)
+    modulus = p * p
+    s = f.as_series(order).reduce(modulus)
     lower = s ** ((p - 1) // 2)
     middle = lower * s  # S^((p+1)/2)
-    return (
-        lower * middle
-        + middle * (2 * model.epsilon * p)
-        + model.w_image * p
-        + model.z_image * (p * p)
-    )
+    # S^p + 2*epsilon*p*S^((p+1)/2) = S^((p+1)/2) * (S^((p-1)/2) + 2*epsilon*p)
+    return middle * (lower + 2 * model.epsilon * p) + model.w_image.reduce(modulus) * p
 
 
 def pullback_then_psi(p: int, f: DegreeMapModel, order: int) -> TruncatedSeries:
     """Pull the generator back along f, then apply psi^p by substitution.
 
-    Exact and unreduced.
+    A residue series mod p^2.
     """
     _check_odd_prime(p)
     if order < p + 2:
         raise ValueError(f"order must be at least p + 2 = {p + 2} to see the t^{p + 1} term")
-    return psi_apply(p, f.as_series(order))
+    return psi_apply(p, f.as_series(order).reduce(p * p))
 
 
 # -- seeded random models ----------------------------------------------------
@@ -247,14 +248,16 @@ def pullback_then_psi(p: int, f: DegreeMapModel, order: int) -> TruncatedSeries:
 # The independence claims ("the t^(p+1) coefficient mod p^2 does not depend
 # on the unknown terms") are certified numerically by sweeping seeded random
 # choices through the two routes.  Draw order is fixed: the map model first,
-# then w, then z.
+# then w, then z.  Each slot is drawn by ``rng.randrange(-bound, bound + 1)``,
+# which is what ``rng.randint(-bound, bound)`` calls, so the values are those
+# of randint without its extra call.
 
 
 def random_degree_map(
     rng: random.Random, degree: int, order: int, bound: int = 9
 ) -> DegreeMapModel:
     """A degree map with every higher slot t^3..t^(order-1) drawn from [-bound, bound]."""
-    higher = tuple(rng.randint(-bound, bound) for _ in range(max(0, order - 3)))
+    higher = tuple([rng.randrange(-bound, bound + 1) for _ in range(order - 3)])
     return DegreeMapModel(degree, higher)
 
 
@@ -262,10 +265,6 @@ def random_psi_model(
     rng: random.Random, p: int, epsilon: Sign, order: int, bound: int = 9
 ) -> GenusPsiModel:
     """Random unknown-term images obeying the filtration constraints."""
-    w = [0] * order
-    for n in range(p + 2, order):
-        w[n] = rng.randint(-bound, bound)
-    z = [0] * order
-    for n in range(2, order):
-        z[n] = rng.randint(-bound, bound)
+    w = [0] * min(order, p + 2) + [rng.randrange(-bound, bound + 1) for _ in range(p + 2, order)]
+    z = [0] * min(order, 2) + [rng.randrange(-bound, bound + 1) for _ in range(2, order)]
     return GenusPsiModel(p, epsilon, TruncatedSeries(order, w), TruncatedSeries(order, z))

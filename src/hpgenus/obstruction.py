@@ -76,8 +76,8 @@ def compatible_bruteforce(
 
     For ``trials`` seeded random models (higher map coefficients and
     unknown-term images), expand both routes of the psi^p naturality square
-    exactly at order p+2 (t^n has filtration 2n, so this is the filtration
-    cut at 2p+3) and compare the coefficients of t^(p+1) mod p^2.  Returns
+    in (Z/p^2)[t]/(t^(p+2)) (t^n has filtration 2n, so this is the
+    filtration cut at 2p+3) and compare the coefficients of t^(p+1).  Returns
     True iff they agree in every trial.  Agrees with ``compatible`` on all
     inputs and any seed; the default seed makes verdicts reproducible bit
     for bit.
@@ -88,14 +88,13 @@ def compatible_bruteforce(
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     order = p + 2
-    modulus = p * p
     rng = random.Random(f"{seed}:{p}:{k}")
     for _ in range(trials):
         f = random_degree_map(rng, k, order)
         model = random_psi_model(rng, p, epsilon, order)
         lhs = psi_then_pullback(model, f, order).coefficient(p + 1)
         rhs = pullback_then_psi(p, f, order).coefficient(p + 1)
-        if (lhs - rhs) % modulus:
+        if lhs != rhs:  # both are canonical residues mod p^2
             return False
     return True
 
@@ -136,8 +135,9 @@ def admissible(genus: RectorInvariant, k: int, primes: Iterable[int]) -> Verdict
 
     Returns Obstructed at the smallest prime where the point's sign differs
     from legendre(k, p), else Admissible.  Admissible means no obstruction
-    was found at the tested primes, never that a map exists, so an empty
-    prime set is rejected rather than answered vacuously.
+    was found at the tested primes, never that a map exists, so a prime set
+    that leaves no prime to test (empty, or every prime dividing k) is
+    rejected rather than answered vacuously.
     """
     check_degree(k)
     tested = sorted(set(primes))
@@ -146,6 +146,8 @@ def admissible(genus: RectorInvariant, k: int, primes: Iterable[int]) -> Verdict
     for p in tested:
         _check_odd_prime(p)
     skipped = tuple(p for p in tested if k % p == 0)
+    if len(skipped) == len(tested):
+        raise ValueError(f"no primes to test: every given prime divides the degree {k}")
     for p in tested:
         if k % p == 0:
             continue

@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from hpgenus import adams
 from hpgenus.adams import check_composition, check_frobenius, psi_apply, psi_generator
 from hpgenus.series import TruncatedSeries
 
-from oracles import pascal_binomial
+from oracles import pascal_binomial, schoolbook_compose
 
 
 def reduced_series_st(max_order=16):
@@ -95,6 +96,29 @@ class TestApply:
         f, g = pair
         assert psi_apply(r, f + g) == psi_apply(r, f) + psi_apply(r, g)
         assert psi_apply(r, f * g) == psi_apply(r, f) * psi_apply(r, g)
+
+    @given(st.integers(1, 40), reduced_series_st(24))
+    def test_matches_schoolbook_composition(self, r, f):
+        g = psi_generator(r, f.order)
+        assert list(psi_apply(r, f).coeffs) == schoolbook_compose(
+            list(f.coeffs), list(g.coeffs), f.order
+        )
+
+    @given(
+        st.integers(1, 40),
+        reduced_series_st(24),
+        st.sampled_from([1, 2, 9, 961, 2**16 + 1, 2**32 - 5, 2**32 + 15, 2**64 + 13]),
+    )
+    def test_commutes_with_reduction(self, r, f, m):
+        reduced = psi_apply(r, f.reduce(m))
+        assert reduced.modulus == m
+        assert reduced == psi_apply(r, f).reduce(m)
+
+    def test_residue_table_cache_is_bounded(self):
+        psi_apply(3, TruncatedSeries(5, [0, 1, 2]).reduce(9))
+        info = adams._psi_rows.cache_info()
+        assert info.currsize >= 1
+        assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 class TestCompositionLaw:

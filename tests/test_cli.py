@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
-from hpgenus import cli
+from hpgenus import adams, cli
 from hpgenus.selftest import SuiteResult
+
+from oracles import legendre_by_enumeration
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +78,23 @@ class TestVerifyLemma:
         assert doc["criterion_passes"] is True
         assert doc["bruteforce_passes"] is True
         assert doc["methods_agree"] is True
+
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    def test_large_prime(self, capsys, epsilon):
+        # one trial at p = 1009 builds a psi table at order 1011 mod p^2
+        p, k = 1009, 2
+        code, out, _ = run_cli(
+            capsys, "verify-lemma", "--prime", str(p), "--degree", str(k),
+            f"--epsilon={epsilon:+d}", "--trials", "1", "--format", "json",
+        )
+        holds = epsilon == legendre_by_enumeration(k, p)
+        assert code == (0 if holds else 2)
+        doc = json.loads(out)
+        assert doc["criterion_passes"] is holds
+        assert doc["bruteforce_passes"] is holds
+        assert doc["rhs_coefficient"] == 2 * p * k % p**2
+        assert doc["lhs_coefficient"] == 2 * epsilon * p * k ** ((p + 1) // 2) % p**2
+        assert adams._psi_rows.cache_info().maxsize is not None
 
     def test_internal_disagreement_exits_three(self, capsys, monkeypatch):
         monkeypatch.setattr("hpgenus.obstruction.compatible", lambda p, e, k: False)
@@ -158,6 +177,15 @@ class TestAdmissible:
         assert code == 1
         assert out == ""
         assert "empty" in err
+
+    @pytest.mark.parametrize("scope", [("--primes", "3"), ("--bound", "3")])
+    def test_every_prime_dividing_the_degree_exits_one(self, capsys, scope):
+        code, out, err = run_cli(
+            capsys, "admissible", "--degree", "3", "--genus", "3:-1;default=+1", *scope
+        )
+        assert code == 1
+        assert out == ""
+        assert "divides the degree" in err
 
     def test_json_verdict_shape(self, capsys):
         code, out, _ = run_cli(

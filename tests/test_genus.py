@@ -128,13 +128,16 @@ class TestPsiThenPullback:
     def test_unit_degree_plus_sign(self):
         model = GenusPsiModel.with_zero_unknowns(3, 1, 7)
         got = psi_then_pullback(model, DegreeMapModel(1), 7)
-        # S = t^2: S^3 + 6 S^2 = t^6 + 6t^4
+        # S = t^2: S^3 + 6 S^2 = t^6 + 6t^4, mod 9
+        assert got.modulus == 9
         assert got == TruncatedSeries(7, [0, 0, 0, 0, 6, 0, 1])
 
     def test_sign_flip(self):
         model = GenusPsiModel.with_zero_unknowns(3, -1, 7)
         got = psi_then_pullback(model, DegreeMapModel(1), 7)
-        assert got == TruncatedSeries(7, [0, 0, 0, 0, -6, 0, 1])
+        # t^6 - 6t^4, mod 9
+        assert got.modulus == 9
+        assert got == TruncatedSeries(7, [0, 0, 0, 0, 3, 0, 1])
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     @pytest.mark.parametrize("k", [1, 2, 3, -5, 12])
@@ -171,7 +174,9 @@ class TestPsiThenPullback:
 class TestPullbackThenPsi:
     def test_unit_degree(self):
         got = pullback_then_psi(3, DegreeMapModel(1), 7)
-        assert got == TruncatedSeries(7, [0, 0, 9, 18, 15, 6, 1])
+        # psi^3(t^2) = ((1+t)^3 - 1)^2 = 9t^2 + 18t^3 + 15t^4 + 6t^5 + t^6, mod 9
+        assert got.modulus == 9
+        assert got == TruncatedSeries(7, [0, 0, 0, 0, 6, 6, 1])
 
     def test_unit_degree_reduced(self):
         got = pullback_then_psi(3, DegreeMapModel(1), 7).reduce(9)
@@ -191,6 +196,28 @@ class TestPullbackThenPsi:
     def test_order_too_small_rejected(self):
         with pytest.raises(ValueError, match="order"):
             pullback_then_psi(5, DegreeMapModel(1), 6)
+
+
+class TestRandomModels:
+    @pytest.mark.parametrize("p,order", [(3, 1), (3, 4), (3, 7), (5, 9), (31, 33), (31, 35)])
+    def test_draws_are_randint_draws(self, p, order):
+        """Every slot is the value rng.randint(-9, 9) gives, in the fixed draw
+        order (map, then w, then z), and the generator ends in the same state."""
+        rng, reference = random.Random(f"draws:{p}:{order}"), random.Random(f"draws:{p}:{order}")
+        for _ in range(20):
+            f = random_degree_map(rng, 2, order)
+            model = random_psi_model(rng, p, -1, order)
+            higher = [reference.randint(-9, 9) for _ in range(3, order)]
+            w = [0] * order
+            for n in range(p + 2, order):
+                w[n] = reference.randint(-9, 9)
+            z = [0] * order
+            for n in range(2, order):
+                z[n] = reference.randint(-9, 9)
+            assert f.higher == tuple(higher)
+            assert model.w_image.coeffs == tuple(w)
+            assert model.z_image.coeffs == tuple(z)
+        assert rng.getstate() == reference.getstate()
 
 
 class TestReductionStability:

@@ -169,6 +169,13 @@ class TestAdmissible:
         with pytest.raises(ValueError, match="empty"):
             admissible(make_genus(1, {}), 1, [])
 
+    def test_every_prime_dividing_the_degree_rejected(self):
+        # every prime would be skipped, so nothing would be tested
+        with pytest.raises(ValueError, match="divides the degree"):
+            admissible(make_genus(1, {3: -1}), 3, [3])
+        with pytest.raises(ValueError, match="divides the degree"):
+            admissible(make_genus(1, {}), -15, [5, 3])
+
     def test_verdict_json_shape(self):
         verdict = admissible(make_genus(1, {3: -1}), 1, [3])
         assert verdict.to_json_dict() == {

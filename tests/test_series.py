@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from hpgenus.series import TruncatedSeries
+from hpgenus.series import TruncatedSeries, _mul
 
-from oracles import schoolbook_compose, schoolbook_mul
+from oracles import schoolbook_compose, schoolbook_mul, schoolbook_pow
 
 coeffs_st = st.lists(st.integers(-99, 99), min_size=0, max_size=16)
 orders_st = st.integers(1, 16)
@@ -236,6 +236,119 @@ class TestReduce:
 
         assert red(a + b) == red(red(a) + red(b))
         assert red(a * b) == red(red(a) * red(b))
+
+
+#: Moduli on both sides of the kernel's 64-bit slot: residue products of
+#: order n are held exactly when n * (m - 1)^2 < 2^64, so 2^32 - 5 fits at
+#: low orders and 2^32 + 15 never does.
+MODULI = [1, 2, 9, 961, 2**16 + 1, 2**32 - 5, 2**32 + 15, 2**64 + 13]
+
+#: Signed coefficients on both sides of 2^64.
+wide_ints = st.one_of(
+    st.integers(-9, 9),
+    st.integers(2**64, 2**80),
+    st.integers(-(2**80), -(2**64)),
+    st.integers(-(2**200), 2**200),
+)
+
+
+def coefficient_lists(order, elements=wide_ints):
+    return st.lists(elements, min_size=order, max_size=order)
+
+
+class TestKernel:
+    """The packed-integer kernel against the index-loop oracles."""
+
+    @given(st.integers(1, 12), st.data())
+    def test_signed_coefficients_match_schoolbook(self, order, data):
+        a = data.draw(coefficient_lists(order))
+        b = data.draw(coefficient_lists(order))
+        assert _mul(a, b, order) == schoolbook_mul(a, b, order)
+        assert _mul(a, a, order) == schoolbook_mul(a, a, order)
+        product = TruncatedSeries(order, a) * TruncatedSeries(order, b)
+        assert list(product.coeffs) == schoolbook_mul(a, b, order)
+
+    @given(st.integers(1, 8), st.integers(0, 7), st.data())
+    def test_signed_powers_match_schoolbook(self, order, e, data):
+        a = data.draw(coefficient_lists(order))
+        assert list((TruncatedSeries(order, a) ** e).coeffs) == schoolbook_pow(a, e, order)
+
+    def test_order_one(self):
+        a, b = -(2**70) - 3, 2**65 + 1
+        assert TruncatedSeries(1, [a]) * TruncatedSeries(1, [b]) == TruncatedSeries(1, [a * b])
+        assert TruncatedSeries(1, [a]) ** 3 == TruncatedSeries(1, [a**3])
+        m = 2**32 + 15
+        assert TruncatedSeries(1, [a]).reduce(m) ** 5 == TruncatedSeries(1, [pow(a, 5, m)])
+
+    def test_leading_zeros_and_zero_factors(self):
+        # t^3 * t^4 at order 7 is zero; a zero factor gives zero
+        assert _mul([0, 0, 0, 5, 0, 0, 0], [0, 0, 0, 0, 2, 0, 0], 7) == [0] * 7
+        assert _mul([0, 0, -3, 1], [0, 7, 0, 0], 4) == [0, 0, 0, -21]
+        assert _mul([0, 0, 0], [1, 2, 3], 3, 9) == [0, 0, 0]
+
+    @given(st.integers(1, 12), st.sampled_from(MODULI), st.data())
+    def test_residue_products_match_schoolbook(self, order, m, data):
+        a = data.draw(coefficient_lists(order))
+        b = data.draw(coefficient_lists(order))
+        ra, rb = TruncatedSeries(order, a).reduce(m), TruncatedSeries(order, b).reduce(m)
+        expected = [c % m for c in schoolbook_mul(a, b, order)]
+        product = ra * rb
+        assert product.modulus == m
+        assert list(product.coeffs) == expected
+        assert _mul(ra.coeffs, rb.coeffs, order, m) == expected
+        assert list((ra * ra).coeffs) == [c % m for c in schoolbook_mul(a, a, order)]
+
+    @given(st.integers(1, 8), st.sampled_from(MODULI), st.integers(0, 9), st.data())
+    def test_residue_powers_match_schoolbook(self, order, m, e, data):
+        a = data.draw(coefficient_lists(order))
+        power = TruncatedSeries(order, a).reduce(m) ** e
+        assert power.modulus == m
+        assert list(power.coeffs) == [c % m for c in schoolbook_pow(a, e, order)]
+
+    @given(st.sampled_from(MODULI), same_order_pair_st(zero_constant=True))
+    def test_residue_compose_matches_schoolbook(self, m, pair):
+        f, g = pair
+        got = f.reduce(m).compose(g.reduce(m))
+        assert got.modulus == m
+        assert list(got.coeffs) == [
+            c % m for c in schoolbook_compose(list(f.coeffs), list(g.coeffs), f.order)
+        ]
+
+    def test_residue_ring_operations_stay_reduced(self):
+        f = TruncatedSeries(4, [5, -3, 8, 1]).reduce(9)
+        for got in (f + 7, f - 20, -f, f * -4, 11 * f, f + f, f - f, f**2, 3 - f):
+            assert got.modulus == 9
+            assert all(0 <= c < 9 for c in got.coeffs)
+        assert f + 7 == TruncatedSeries(4, [3, 6, 8, 1])
+
+    def test_mixed_moduli_rejected(self):
+        f = TruncatedSeries(4, [1, 2, 3, 4])
+        g = TruncatedSeries(4, [0, 1, 1, 0])
+        for a, b in ((f.reduce(9), f.reduce(7)), (f.reduce(9), f), (f, f.reduce(9))):
+            with pytest.raises(ValueError, match="modulus mismatch"):
+                a + b
+            with pytest.raises(ValueError, match="modulus mismatch"):
+                a * b
+            with pytest.raises(ValueError, match="modulus mismatch"):
+                a - b
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            f.reduce(9).compose(g)
+
+    def test_reduce_keeps_the_modulus(self):
+        f = TruncatedSeries(3, [-1, 10, 82])
+        residues = f.reduce(9)
+        assert residues.modulus == 9
+        assert residues.reduce(9) is residues
+        assert f.reduce(9).reduce(3) == f.reduce(3)
+        assert f.reduce(9).reduce(3).modulus == 3
+        with pytest.raises(ValueError, match="cannot reduce"):
+            f.reduce(9).reduce(7)
+        assert f.modulus is None
+
+    def test_repr_round_trips(self):
+        f = TruncatedSeries(3, [-1, 10, 82]).reduce(9)
+        assert repr(f) == "TruncatedSeries(3, [8, 1, 1]).reduce(9)"
+        assert str(f) == "8 + t + t^2 + O(t^3) mod 9"
 
 
 class TestRingAxioms:
