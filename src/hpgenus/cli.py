@@ -251,19 +251,20 @@ def _cmd_forced_genus(args) -> int:
 def _cmd_example_xp(args) -> int:
     point, witness = obstruction.example_xp(args.prime)
     verdict = obstruction.admissible(point, witness, [args.prime])
+    symbol = sign_to_str(obstruction.legendre(witness, args.prime))
     payload = {
         "command": "example-xp",
         "prime": args.prime,
         "genus": point.to_json_dict(),
         "witness_degree": witness,
-        "witness_symbol": sign_to_str(obstruction.legendre(witness, args.prime)),
+        "witness_symbol": symbol,
         "single_prime_verdict": verdict.to_json_dict(),
     }
     rows = [
         ("prime", str(args.prime)),
         ("genus", _genus_inline(point)),
         ("witness degree", str(witness)),
-        ("witness symbol", sign_to_str(obstruction.legendre(witness, args.prime))),
+        ("witness symbol", symbol),
         (f"admissible at {{{args.prime}}}", verdict.outcome),
     ]
     _emit(payload, rows, args.format)

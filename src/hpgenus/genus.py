@@ -11,7 +11,7 @@ for psi^p:
 
 * ``psi_then_pullback`` applies psi^p upstairs on the genus point's
   generator (degree-p power, the sign-weighted middle power, and the
-  unknown multiples of p and p^2) and pulls the result back along the map.
+  unknown multiple of p) and pulls the result back along the map.
 * ``pullback_then_psi`` pulls the generator back first and applies psi^p
   downstairs by substitution.
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd
 from typing import Mapping
 
 from .adams import psi_apply
@@ -53,6 +52,20 @@ def check_degree(k: int) -> int:
     return k
 
 
+def check_odd_prime(p: int) -> int:
+    """Validate and return an odd prime."""
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"expected an odd prime, got {p!r}")
+    return p
+
+
+def check_degree_prime_to(k: int, p: int) -> int:
+    """Validate and return a map degree that the odd prime p does not divide."""
+    if check_degree(k) % p == 0:
+        raise ValueError(f"{p} divides {k}: the symbol would be 0, outside the scope of this test")
+    return k
+
+
 def sign_to_str(value: int) -> str:
     return "+1" if check_sign(value) == 1 else "-1"
 
@@ -63,11 +76,6 @@ def sign_from_str(text: str) -> int:
     if text == "-1":
         return -1
     raise ValueError(f"sign must be '+1' or '-1', got {text!r}")
-
-
-def _check_odd_prime(p: int) -> None:
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"expected an odd prime, got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -104,14 +112,19 @@ class RectorInvariant:
                 canonical.append((p, sign))
         object.__setattr__(self, "exceptions", tuple(sorted(canonical)))
 
+    @classmethod
+    def _trusted(cls, default: Sign, exceptions: tuple[tuple[int, Sign], ...]) -> "RectorInvariant":
+        # canonical exceptions at primes already checked: nothing is validated again
+        point = object.__new__(cls)
+        object.__setattr__(point, "default", default)
+        object.__setattr__(point, "exceptions", exceptions)
+        return point
+
     def lookup(self, p: int) -> Sign:
         """The sign invariant at the prime p."""
         if not is_prime(p):
             raise ValueError(f"invariants are indexed by primes, got {p!r}")
-        for q, sign in self.exceptions:
-            if q == p:
-                return sign
-        return self.default
+        return self.exception_map().get(p, self.default)
 
     def exception_map(self) -> dict[int, Sign]:
         return dict(self.exceptions)
@@ -178,52 +191,44 @@ class DegreeMapModel:
 class GenusPsiModel:
     """How psi^p acts on a genus point's generator, seen through a map.
 
-    ``epsilon`` is the point's sign invariant at the odd prime p.  The
-    unknown terms of the action are recorded by their pullback images:
-    ``w_image`` may only be supported in filtration >= 2p+3 (so above
-    t^(p+1)) and ``z_image`` in filtration >= 4 (so above t^1).  Those two
-    constraints are exactly what makes the unknowns drop out of the t^(p+1)
-    coefficient mod p^2.  Since t^n has filtration 2n, the cut at 2p+3 is
-    truncation at order p+2, where w_image is necessarily zero.
+    ``epsilon`` is the point's sign invariant at the odd prime p.  Of the
+    unknown terms p*w + p^2*z of the action only w survives mod p^2, and it
+    is recorded by its pullback image ``w_image``, supported in filtration
+    >= 2p+3 (so above t^(p+1)): exactly what makes it drop out of the
+    t^(p+1) coefficient mod p^2.  Since t^n has filtration 2n, the cut at
+    2p+3 is truncation at order p+2, where w_image is necessarily zero.
     """
 
     p: int
     epsilon: Sign
     w_image: TruncatedSeries
-    z_image: TruncatedSeries
 
     def __post_init__(self) -> None:
-        _check_odd_prime(self.p)
+        check_odd_prime(self.p)
         check_sign(self.epsilon)
         for n in range(min(self.w_image.order, self.p + 2)):
             if self.w_image.coeffs[n] != 0:
                 raise ValueError(
                     f"w_image must vanish below t^{self.p + 2}, found t^{n} term"
                 )
-        for n in range(min(self.z_image.order, 2)):
-            if self.z_image.coeffs[n] != 0:
-                raise ValueError(f"z_image must vanish below t^2, found t^{n} term")
 
     @classmethod
     def with_zero_unknowns(cls, p: int, epsilon: Sign, order: int) -> "GenusPsiModel":
-        zero = TruncatedSeries.zero(order)
-        return cls(p, epsilon, zero, zero)
+        return cls(p, epsilon, TruncatedSeries.zero(order))
 
 
 def psi_then_pullback(model: GenusPsiModel, f: DegreeMapModel, order: int) -> TruncatedSeries:
     """Apply psi^p upstairs, then pull back along f.  A residue series mod p^2.
 
     With S the pullback of the generator, this is
-    S^p + 2*epsilon*p*S^((p+1)/2) + p*w_image + p^2*z_image mod p^2, where
-    the z term vanishes.
+    S^p + 2*epsilon*p*S^((p+1)/2) + p*w_image mod p^2.
     """
     p = model.p
     if order < p + 2:
         raise ValueError(f"order must be at least p + 2 = {p + 2} to see the t^{p + 1} term")
-    if gcd(f.degree, p) != 1:
-        raise ValueError(f"degree {f.degree} shares a factor with the prime {p}")
-    if model.w_image.order != order or model.z_image.order != order:
-        raise ValueError("unknown-term images must be given at the working order")
+    check_degree_prime_to(f.degree, p)
+    if model.w_image.order != order:
+        raise ValueError("w_image must be given at the working order")
     modulus = p * p
     s = f.as_series(order).reduce(modulus)
     lower = s ** ((p - 1) // 2)
@@ -237,7 +242,7 @@ def pullback_then_psi(p: int, f: DegreeMapModel, order: int) -> TruncatedSeries:
 
     A residue series mod p^2.
     """
-    _check_odd_prime(p)
+    check_odd_prime(p)
     if order < p + 2:
         raise ValueError(f"order must be at least p + 2 = {p + 2} to see the t^{p + 1} term")
     return psi_apply(p, f.as_series(order).reduce(p * p))
@@ -248,23 +253,19 @@ def pullback_then_psi(p: int, f: DegreeMapModel, order: int) -> TruncatedSeries:
 # The independence claims ("the t^(p+1) coefficient mod p^2 does not depend
 # on the unknown terms") are certified numerically by sweeping seeded random
 # choices through the two routes.  Draw order is fixed: the map model first,
-# then w, then z.  Each slot is drawn by ``rng.randrange(-bound, bound + 1)``,
-# which is what ``rng.randint(-bound, bound)`` calls, so the values are those
-# of randint without its extra call.
+# then w.  Each slot is drawn by ``rng.randrange(-DRAW_BOUND, DRAW_BOUND + 1)``,
+# which is what ``rng.randint(-DRAW_BOUND, DRAW_BOUND)`` calls, so the values
+# are those of randint without its extra call.
+DRAW_BOUND = 9
 
 
-def random_degree_map(
-    rng: random.Random, degree: int, order: int, bound: int = 9
-) -> DegreeMapModel:
-    """A degree map with every higher slot t^3..t^(order-1) drawn from [-bound, bound]."""
-    higher = tuple([rng.randrange(-bound, bound + 1) for _ in range(order - 3)])
+def random_degree_map(rng: random.Random, degree: int, order: int) -> DegreeMapModel:
+    """A degree map with every higher slot t^3..t^(order-1) drawn from [-DRAW_BOUND, DRAW_BOUND]."""
+    higher = tuple([rng.randrange(-DRAW_BOUND, DRAW_BOUND + 1) for _ in range(order - 3)])
     return DegreeMapModel(degree, higher)
 
 
-def random_psi_model(
-    rng: random.Random, p: int, epsilon: Sign, order: int, bound: int = 9
-) -> GenusPsiModel:
-    """Random unknown-term images obeying the filtration constraints."""
-    w = [0] * min(order, p + 2) + [rng.randrange(-bound, bound + 1) for _ in range(p + 2, order)]
-    z = [0] * min(order, 2) + [rng.randrange(-bound, bound + 1) for _ in range(2, order)]
-    return GenusPsiModel(p, epsilon, TruncatedSeries(order, w), TruncatedSeries(order, z))
+def random_psi_model(rng: random.Random, p: int, epsilon: Sign, order: int) -> GenusPsiModel:
+    """A random w_image obeying the filtration constraint."""
+    w = [rng.randrange(-DRAW_BOUND, DRAW_BOUND + 1) for _ in range(p + 2, order)]
+    return GenusPsiModel(p, epsilon, TruncatedSeries(order, [0] * min(order, p + 2) + w))

@@ -22,28 +22,22 @@ from .genus import (
     RectorInvariant,
     Sign,
     check_degree,
+    check_degree_prime_to,
+    check_odd_prime,
     check_sign,
-    make_genus,
     psi_then_pullback,
     pullback_then_psi,
     random_degree_map,
     random_psi_model,
     sign_to_str,
 )
-from .primes import distinct_odd_prime_factors, is_prime, odd_primes_upto
+# is_prime is unused here but stays bound: bench/spans.py traces calls through obstruction.is_prime
+from .primes import distinct_odd_prime_factors, is_prime, odd_primes_upto  # noqa: F401
 
 
-def _check_odd_prime(p: int) -> None:
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"expected an odd prime, got {p!r}")
-
-
-def _check_degree(k: int, p: int) -> None:
-    check_degree(k)
-    if k % p == 0:
-        raise ValueError(
-            f"{p} divides {k}: the symbol would be 0, outside the scope of this test"
-        )
+def _symbol(k: int, p: int) -> Sign:
+    # Euler's criterion, for an odd prime p not dividing k: k^((p-1)/2) is 1 or -1 mod p
+    return 1 if pow(k, (p - 1) // 2, p) == 1 else -1
 
 
 def legendre(k: int, p: int) -> Sign:
@@ -52,9 +46,9 @@ def legendre(k: int, p: int) -> Sign:
     p must be an odd prime not dividing k; the degenerate symbol-0 case is
     rejected rather than returned.
     """
-    _check_odd_prime(p)
-    _check_degree(k, p)
-    return 1 if pow(k, (p - 1) // 2, p) == 1 else -1
+    check_odd_prime(p)
+    check_degree_prime_to(k, p)
+    return _symbol(k, p)
 
 
 def compatible(p: int, epsilon: Sign, k: int) -> bool:
@@ -64,9 +58,9 @@ def compatible(p: int, epsilon: Sign, k: int) -> bool:
     same as epsilon == legendre(k, p).
     """
     check_sign(epsilon)
-    _check_odd_prime(p)
-    _check_degree(k, p)
-    return (epsilon * pow(k, (p - 1) // 2, p)) % p == 1
+    check_odd_prime(p)
+    check_degree_prime_to(k, p)
+    return epsilon == _symbol(k, p)
 
 
 def compatible_bruteforce(
@@ -83,8 +77,8 @@ def compatible_bruteforce(
     for bit.
     """
     check_sign(epsilon)
-    _check_odd_prime(p)
-    _check_degree(k, p)
+    check_odd_prime(p)
+    check_degree_prime_to(k, p)
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     order = p + 2
@@ -144,19 +138,21 @@ def admissible(genus: RectorInvariant, k: int, primes: Iterable[int]) -> Verdict
     if not tested:
         raise ValueError("no primes to test: the prime set is empty")
     for p in tested:
-        _check_odd_prime(p)
+        check_odd_prime(p)
     skipped = tuple(p for p in tested if k % p == 0)
     if len(skipped) == len(tested):
         raise ValueError(f"no primes to test: every given prime divides the degree {k}")
+    signs = genus.exception_map()
     for p in tested:
         if k % p == 0:
             continue
-        actual = genus.lookup(p)
-        if not compatible(p, actual, k):
+        required = _symbol(k, p)
+        actual = signs.get(p, genus.default)
+        if actual != required:
             return Verdict(
                 "Obstructed",
                 prime=p,
-                required=legendre(k, p),
+                required=required,
                 actual=actual,
                 skipped=skipped,
             )
@@ -211,7 +207,7 @@ def forced_genus(k: int, bound: int) -> ForcedGenusReport:
         if k % p == 0:
             free_odd.append(p)
         else:
-            forced.append((p, legendre(k, p)))
+            forced.append((p, _symbol(k, p)))
     free = (2,) + tuple(free_odd)
     free_count_total = 1 + len(distinct_odd_prime_factors(k))
     return ForcedGenusReport(k, bound, tuple(forced), free, free_count_total)
@@ -224,9 +220,9 @@ def example_xp(p: int) -> tuple[RectorInvariant, int]:
     non-residue mod p, so ``compatible(p, -1, k)`` holds by construction and
     the single-prime test cannot rule out a map of that degree.
     """
-    _check_odd_prime(p)
-    point = make_genus(1, {p: -1})
+    check_odd_prime(p)
+    point = RectorInvariant._trusted(1, ((p, -1),))
     for k in range(2, p):
-        if legendre(k, p) == -1:
+        if _symbol(k, p) == -1:
             return point, k
     raise AssertionError(f"no non-residue in (1, {p}): {p} cannot be an odd prime")

@@ -1,10 +1,21 @@
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hpgenus.genus import make_genus
+import hpgenus.genus
+import hpgenus.obstruction
+from hpgenus.genus import (
+    DegreeMapModel,
+    GenusPsiModel,
+    check_degree_prime_to,
+    check_odd_prime,
+    make_genus,
+    psi_then_pullback,
+    pullback_then_psi,
+)
 from hpgenus.obstruction import (
     Verdict,
     admissible,
@@ -14,7 +25,7 @@ from hpgenus.obstruction import (
     forced_genus,
     legendre,
 )
-from hpgenus.primes import odd_primes_upto
+from hpgenus.primes import is_prime, odd_primes_upto
 
 from oracles import legendre_by_enumeration, smallest_nonresidue_above_one, squares_mod
 
@@ -273,6 +284,92 @@ class TestExampleXp:
             example_xp(2)
         with pytest.raises(ValueError):
             example_xp(9)
+
+
+class TestOneValidatorPerFact:
+    """One validator per input fact: the same message from every entry point,
+    and each prime checked at most once per call."""
+
+    @pytest.mark.parametrize("p", [2, 9, 1, 0, -3])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: legendre(2, p),
+            lambda p: compatible(p, 1, 2),
+            lambda p: compatible_bruteforce(p, 1, 2, trials=1),
+            lambda p: admissible(make_genus(1, {}), 2, [p]),
+            example_xp,
+            lambda p: GenusPsiModel.with_zero_unknowns(p, 1, 8),
+            lambda p: pullback_then_psi(p, DegreeMapModel(1), 8),
+        ],
+        ids=[
+            "legendre",
+            "compatible",
+            "compatible_bruteforce",
+            "admissible",
+            "example_xp",
+            "GenusPsiModel",
+            "pullback_then_psi",
+        ],
+    )
+    def test_not_an_odd_prime_has_one_message(self, call, p):
+        with pytest.raises(ValueError) as expected:
+            check_odd_prime(p)
+        with pytest.raises(ValueError) as got:
+            call(p)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("p,k", [(3, 6), (5, -10), (7, 7)])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, k: legendre(k, p),
+            lambda p, k: compatible(p, 1, k),
+            lambda p, k: compatible_bruteforce(p, 1, k, trials=1),
+            lambda p, k: psi_then_pullback(
+                GenusPsiModel.with_zero_unknowns(p, 1, p + 2), DegreeMapModel(k), p + 2
+            ),
+        ],
+        ids=["legendre", "compatible", "compatible_bruteforce", "psi_then_pullback"],
+    )
+    def test_prime_dividing_the_degree_has_one_message(self, call, p, k):
+        with pytest.raises(ValueError) as expected:
+            check_degree_prime_to(k, p)
+        with pytest.raises(ValueError) as got:
+            call(p, k)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda point: admissible(point, 1, odd_primes_upto(60)),
+            lambda point: admissible(point, 6, odd_primes_upto(60)),
+            lambda point: admissible(point, 2, [3, 5, 7, 11]),
+            lambda point: forced_genus(30, 60),
+            lambda point: example_xp(23),
+            lambda point: example_xp(3),
+        ],
+        ids=[
+            "admissible-obstructed",
+            "admissible-skipped",
+            "admissible-passes",
+            "forced_genus",
+            "example_xp-23",
+            "example_xp-3",
+        ],
+    )
+    def test_each_prime_is_checked_at_most_once_per_call(self, monkeypatch, call):
+        point = make_genus(1, {13: -1, 23: -1})
+        checked = Counter()
+
+        def counting_is_prime(n):
+            checked[n] += 1
+            return is_prime(n)
+
+        monkeypatch.setattr(hpgenus.genus, "is_prime", counting_is_prime)
+        monkeypatch.setattr(hpgenus.obstruction, "is_prime", counting_is_prime)
+        call(point)
+        assert max(checked.values(), default=0) <= 1, checked
 
 
 class TestEquivalenceSampling:
