@@ -1,25 +1,50 @@
 """Deterministic primality helpers.
 
-Inputs throughout the package stay small (well below 10**6), so plain trial
-division is exact and fast enough; there is no probabilistic path anywhere.
+``is_prime`` is Miller-Rabin with the thirteen prime bases 2 ... 41, after
+trial division by those primes.  With those bases the test is exact for
+every n below ``PRIME_TEST_CEILING`` (Sorenson and Webster, "Strong
+pseudoprimes to twelve prime bases", Math. Comp. 86, 2017), so there is no
+probabilistic verdict anywhere; at or above the ceiling it raises
+``ValueError``.  Below 41^2 the trial division alone answers.
 """
 
 from __future__ import annotations
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: The least composite that passes Miller-Rabin to all thirteen bases; the test
+#: refuses it and every larger n.
+PRIME_TEST_CEILING = 3317044064679887385961981
+
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, exact for every integer."""
+    """Whether n is prime; exact below ``PRIME_TEST_CEILING``, an error at or above it."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         return False
-    if n < 4:
+    if n >= PRIME_TEST_CEILING:
+        raise ValueError(
+            f"{n} is too large to test for primality: the test is exact only below "
+            f"{PRIME_TEST_CEILING}"
+        )
+    for q in _BASES:
+        if n % q == 0:
+            return n == q
+    if n < _BASES[-1] ** 2:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -65,3 +65,15 @@ def smallest_nonresidue_above_one(p: int) -> int:
         if k % p not in squares:
             return k
     raise AssertionError(f"no non-residue found below {p}")
+
+
+def trial_division_is_prime(n: int) -> bool:
+    """Primality by trying every divisor d with d * d <= n."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True

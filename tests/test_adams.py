@@ -114,11 +114,42 @@ class TestApply:
         assert reduced.modulus == m
         assert reduced == psi_apply(r, f).reduce(m)
 
+    def test_generator_image_zero_in_the_ring(self):
+        # mod 3 the image of t under psi^3 is 3t = 0 below t^2, so psi^3(t) is 0
+        got = psi_apply(3, TruncatedSeries.monomial(2, 1).reduce(3))
+        assert got.is_zero
+        assert got.modulus == 3
+
+    @pytest.mark.parametrize("modulus", [None, 9])
+    def test_zero_series(self, modulus):
+        zero = TruncatedSeries.zero(6)
+        if modulus is not None:
+            zero = zero.reduce(modulus)
+        got = psi_apply(4, zero)
+        assert got.is_zero
+        assert got.modulus == modulus
+
+    def test_same_table_key_in_each_ring(self):
+        f = TruncatedSeries(6, [0, 5, -4, 3])
+        exact = psi_apply(7, f)
+        residues = psi_apply(7, f.reduce(49))
+        assert exact.modulus is None
+        assert list(exact.coeffs) == schoolbook_compose(
+            list(f.coeffs), list(psi_generator(7, 6).coeffs), 6
+        )
+        assert residues.modulus == 49
+        assert residues == exact.reduce(49)
+        assert psi_apply(7, f).modulus is None
+
     def test_residue_table_cache_is_bounded(self):
-        psi_apply(3, TruncatedSeries(5, [0, 1, 2]).reduce(9))
-        info = adams._psi_rows.cache_info()
-        assert info.currsize >= 1
-        assert info.maxsize is not None and info.currsize <= info.maxsize
+        # residue and integer tables go through the same bounded cache
+        f = TruncatedSeries(5, [0, 1, 2])
+        for g in (f.reduce(9), f):
+            before = adams._psi_rows.cache_info()
+            psi_apply(3, g)
+            info = adams._psi_rows.cache_info()
+            assert info.hits + info.misses == before.hits + before.misses + 1
+            assert info.maxsize is not None and 1 <= info.currsize <= info.maxsize
 
 
 class TestCompositionLaw:

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from hpgenus import adams, cli
+from hpgenus.primes import PRIME_TEST_CEILING
 from hpgenus.selftest import SuiteResult
 
 from oracles import legendre_by_enumeration
@@ -186,6 +187,27 @@ class TestAdmissible:
         assert code == 1
         assert out == ""
         assert "divides the degree" in err
+
+    def test_large_prime_answers_promptly(self):
+        # 2^61 - 1 is prime: trial division up to its root would not finish
+        proc = subprocess.run(
+            [sys.executable, "-m", "hpgenus", "admissible", "--degree", "1",
+             "--genus", "default=+1", "--primes", str(2**61 - 1)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert "Admissible" in proc.stdout
+
+    def test_prime_above_the_test_ceiling_exits_one(self, capsys):
+        code, out, err = run_cli(
+            capsys, "admissible", "--degree", "1", "--genus", "default=+1",
+            "--primes", str(2**89 - 1),
+        )
+        assert code == 1
+        assert out == ""
+        assert str(PRIME_TEST_CEILING) in err
 
     def test_json_verdict_shape(self, capsys):
         code, out, _ = run_cli(
