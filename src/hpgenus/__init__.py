@@ -14,14 +14,12 @@ command-line tool.
 from .adams import check_composition, check_frobenius, psi_apply, psi_generator
 from .genus import (
     DegreeMapModel,
-    GenusPsiModel,
     RectorInvariant,
     Sign,
     make_genus,
     psi_then_pullback,
     pullback_then_psi,
     random_degree_map,
-    random_psi_model,
 )
 from .obstruction import (
     ForcedGenusReport,
@@ -42,7 +40,6 @@ __all__ = [
     "Coefficient",
     "DegreeMapModel",
     "ForcedGenusReport",
-    "GenusPsiModel",
     "RectorInvariant",
     "Sign",
     "TruncatedSeries",
@@ -63,5 +60,4 @@ __all__ = [
     "psi_then_pullback",
     "pullback_then_psi",
     "random_degree_map",
-    "random_psi_model",
 ]

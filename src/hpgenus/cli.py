@@ -37,7 +37,6 @@ from . import selftest
 from . import obstruction
 from .genus import (
     DegreeMapModel,
-    GenusPsiModel,
     RectorInvariant,
     psi_then_pullback,
     pullback_then_psi,
@@ -155,14 +154,12 @@ def _cmd_verify_lemma(args) -> int:
     seed = _resolve_seed(args)
     closed = obstruction.compatible(p, epsilon, k)
     brute = obstruction.compatible_bruteforce(p, epsilon, k, trials=args.trials, seed=seed)
-    # display coefficients from the zero-unknowns model; the randomized
-    # sweep inside the brute-force call certifies they do not depend on it
-    order = p + 2
+    # display coefficients from the map with no higher terms; the randomized
+    # sweep inside the brute-force call certifies they do not depend on them
     modulus = p * p
     f = DegreeMapModel(k)
-    model = GenusPsiModel.with_zero_unknowns(p, epsilon, order)
-    lhs = psi_then_pullback(model, f, order).coefficient(p + 1)
-    rhs = pullback_then_psi(p, f, order).coefficient(p + 1)
+    lhs = psi_then_pullback(p, epsilon, f).coefficient(p + 1)
+    rhs = pullback_then_psi(p, f).coefficient(p + 1)
     agree = closed == brute
     payload = {
         "command": "verify-lemma",

@@ -10,18 +10,19 @@ The two series built here are the two routes around the naturality square
 for psi^p:
 
 * ``psi_then_pullback`` applies psi^p upstairs on the genus point's
-  generator (degree-p power, the sign-weighted middle power, and the
-  unknown multiple of p) and pulls the result back along the map.
+  generator (degree-p power and the sign-weighted middle power) and pulls
+  the result back along the map.
 * ``pullback_then_psi`` pulls the generator back first and applies psi^p
   downstairs by substitution.
 
 The comparison is of the t^(p+1) coefficients modulo p^2, so both routes
 reduce the pullback S of the generator mod p^2 once and compute in
-(Z/p^2)[t]/(t^order): they return residue series mod p^2, which are the
+(Z/p^2)[t]/(t^(p+2)): they return residue series mod p^2, which are the
 residues of the exact integer routes because reduction and truncation are
 ring homomorphisms.  t^n has skeletal filtration 2n, so the filtration cut
-at 2p+3 that the comparison needs is truncation at order p+2, the smallest
-working order both routes accept.
+at 2p+3 that the comparison needs is truncation at order p+2.  The unknown
+terms of psi^p lie in filtration >= 2p+3, so they vanish at that order and
+are not modelled.
 """
 
 from __future__ import annotations
@@ -187,75 +188,39 @@ class DegreeMapModel:
         return TruncatedSeries(order, coeffs)
 
 
-@dataclass(frozen=True)
-class GenusPsiModel:
-    """How psi^p acts on a genus point's generator, seen through a map.
-
-    ``epsilon`` is the point's sign invariant at the odd prime p.  Of the
-    unknown terms p*w + p^2*z of the action only w survives mod p^2, and it
-    is recorded by its pullback image ``w_image``, supported in filtration
-    >= 2p+3 (so above t^(p+1)): exactly what makes it drop out of the
-    t^(p+1) coefficient mod p^2.  Since t^n has filtration 2n, the cut at
-    2p+3 is truncation at order p+2, where w_image is necessarily zero.
-    """
-
-    p: int
-    epsilon: Sign
-    w_image: TruncatedSeries
-
-    def __post_init__(self) -> None:
-        check_odd_prime(self.p)
-        check_sign(self.epsilon)
-        for n in range(min(self.w_image.order, self.p + 2)):
-            if self.w_image.coeffs[n] != 0:
-                raise ValueError(
-                    f"w_image must vanish below t^{self.p + 2}, found t^{n} term"
-                )
-
-    @classmethod
-    def with_zero_unknowns(cls, p: int, epsilon: Sign, order: int) -> "GenusPsiModel":
-        return cls(p, epsilon, TruncatedSeries.zero(order))
-
-
-def psi_then_pullback(model: GenusPsiModel, f: DegreeMapModel, order: int) -> TruncatedSeries:
+def psi_then_pullback(p: int, epsilon: Sign, f: DegreeMapModel) -> TruncatedSeries:
     """Apply psi^p upstairs, then pull back along f.  A residue series mod p^2.
 
     With S the pullback of the generator, this is
-    S^p + 2*epsilon*p*S^((p+1)/2) + p*w_image mod p^2.
+    S^p + 2*epsilon*p*S^((p+1)/2) in (Z/p^2)[t]/(t^(p+2)).
     """
-    p = model.p
-    if order < p + 2:
-        raise ValueError(f"order must be at least p + 2 = {p + 2} to see the t^{p + 1} term")
+    check_sign(epsilon)
+    check_odd_prime(p)
     check_degree_prime_to(f.degree, p)
-    if model.w_image.order != order:
-        raise ValueError("w_image must be given at the working order")
-    modulus = p * p
-    s = f.as_series(order).reduce(modulus)
+    s = f.as_series(p + 2).reduce(p * p)
     lower = s ** ((p - 1) // 2)
     middle = lower * s  # S^((p+1)/2)
     # S^p + 2*epsilon*p*S^((p+1)/2) = S^((p+1)/2) * (S^((p-1)/2) + 2*epsilon*p)
-    return middle * (lower + 2 * model.epsilon * p) + model.w_image.reduce(modulus) * p
+    return middle * (lower + 2 * epsilon * p)
 
 
-def pullback_then_psi(p: int, f: DegreeMapModel, order: int) -> TruncatedSeries:
+def pullback_then_psi(p: int, f: DegreeMapModel) -> TruncatedSeries:
     """Pull the generator back along f, then apply psi^p by substitution.
 
-    A residue series mod p^2.
+    A residue series mod p^2 in (Z/p^2)[t]/(t^(p+2)).
     """
     check_odd_prime(p)
-    if order < p + 2:
-        raise ValueError(f"order must be at least p + 2 = {p + 2} to see the t^{p + 1} term")
-    return psi_apply(p, f.as_series(order).reduce(p * p))
+    return psi_apply(p, f.as_series(p + 2).reduce(p * p))
 
 
 # -- seeded random models ----------------------------------------------------
 #
 # The independence claims ("the t^(p+1) coefficient mod p^2 does not depend
-# on the unknown terms") are certified numerically by sweeping seeded random
-# choices through the two routes.  Draw order is fixed: the map model first,
-# then w.  Each slot is drawn by ``rng.randrange(-DRAW_BOUND, DRAW_BOUND + 1)``,
-# which is what ``rng.randint(-DRAW_BOUND, DRAW_BOUND)`` calls, so the values
-# are those of randint without its extra call.
+# on the map's higher terms") are certified numerically by sweeping seeded
+# random maps through the two routes.  Each slot is drawn by
+# ``rng.randrange(-DRAW_BOUND, DRAW_BOUND + 1)``, which is what
+# ``rng.randint(-DRAW_BOUND, DRAW_BOUND)`` calls, so the values are those of
+# randint without its extra call.
 DRAW_BOUND = 9
 
 
@@ -263,9 +228,3 @@ def random_degree_map(rng: random.Random, degree: int, order: int) -> DegreeMapM
     """A degree map with every higher slot t^3..t^(order-1) drawn from [-DRAW_BOUND, DRAW_BOUND]."""
     higher = tuple([rng.randrange(-DRAW_BOUND, DRAW_BOUND + 1) for _ in range(order - 3)])
     return DegreeMapModel(degree, higher)
-
-
-def random_psi_model(rng: random.Random, p: int, epsilon: Sign, order: int) -> GenusPsiModel:
-    """A random w_image obeying the filtration constraint."""
-    w = [rng.randrange(-DRAW_BOUND, DRAW_BOUND + 1) for _ in range(p + 2, order)]
-    return GenusPsiModel(p, epsilon, TruncatedSeries(order, [0] * min(order, p + 2) + w))

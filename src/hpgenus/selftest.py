@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .adams import check_composition, check_frobenius, psi_apply, psi_generator
 from .obstruction import compatible, compatible_bruteforce, legendre
@@ -20,31 +20,21 @@ from .series import TruncatedSeries
 @dataclass
 class SuiteResult:
     name: str
-    checks: int
-    failures: int
+    checks: int = 0
+    failures: int = 0
     first_counterexample: Optional[str] = None
 
     @property
     def ok(self) -> bool:
         return self.failures == 0
 
-
-class _Recorder:
-    def __init__(self, name: str):
-        self.name = name
-        self.checks = 0
-        self.failures = 0
-        self.first: Optional[str] = None
-
-    def check(self, ok: bool, describe) -> None:
+    def check(self, ok: bool, describe: Callable[[], str]) -> None:
+        """Count one check; describe the first failing one."""
         self.checks += 1
         if not ok:
             self.failures += 1
-            if self.first is None:
-                self.first = describe() if callable(describe) else str(describe)
-
-    def result(self) -> SuiteResult:
-        return SuiteResult(self.name, self.checks, self.failures, self.first)
+            if self.first_counterexample is None:
+                self.first_counterexample = describe()
 
 
 def _random_series(rng: random.Random, order: int, lo: int = -99, hi: int = 99) -> TruncatedSeries:
@@ -57,7 +47,7 @@ def _random_reduced(rng: random.Random, order: int, lo: int = -9, hi: int = 9) -
 
 def ring_axiom_suite(trials: int = 1000, max_order: int = 16, seed: int = 0) -> SuiteResult:
     """Ring axioms, composition associativity, and reduction laws on random inputs."""
-    rec = _Recorder("ring-axioms")
+    rec = SuiteResult("ring-axioms")
     rng = random.Random(f"{seed}:ring")
     for _ in range(trials):
         n = rng.randint(1, max_order)
@@ -90,14 +80,14 @@ def ring_axiom_suite(trials: int = 1000, max_order: int = 16, seed: int = 0) -> 
         )
         for label, ok in laws:
             rec.check(ok, lambda label=label, a=a, b=b, c=c: f"{label} failed: a={a!r} b={b!r} c={c!r}")
-    return rec.result()
+    return rec
 
 
 def adams_law_suite(
     max_index: int = 12, order: int = 32, trials: int = 200, seed: int = 0
 ) -> SuiteResult:
     """psi^a psi^b = psi^(ab), psi^1 = id, and ring-endomorphism behaviour."""
-    rec = _Recorder("adams-laws")
+    rec = SuiteResult("adams-laws")
     for a in range(1, max_index + 1):
         for b in range(1, max_index + 1):
             rec.check(
@@ -125,27 +115,28 @@ def adams_law_suite(
             lambda r=r, f=f, g=g: f"psi^{r} not multiplicative on {f!r}, {g!r}",
         )
         rec.check(psi_apply(1, f) == f, lambda f=f: f"psi^1 moved {f!r}")
-    return rec.result()
+    return rec
 
 
 def frobenius_suite(max_prime: int = 31, count: int = 500, seed: int = 0) -> SuiteResult:
     """psi^p(f) = f^p mod p across primes up to max_prime and random f."""
-    rec = _Recorder("frobenius")
+    rec = SuiteResult("frobenius")
     primes = ([2] if max_prime >= 2 else []) + odd_primes_upto(max_prime)
     rng = random.Random(f"{seed}:frobenius")
-    for _ in range(count):
-        f = _random_reduced(rng, rng.randint(2, 16))
-        for p in primes:
+    series = [_random_reduced(rng, rng.randint(2, 16)) for _ in range(count)]
+    # primes outside, so each prime's psi tables stay in the bounded cache
+    for p in primes:
+        for f in series:
             rec.check(
                 check_frobenius(p, f),
                 lambda p=p, f=f: f"psi^{p}(f) != f^{p} mod {p} for f={f!r}",
             )
-    return rec.result()
+    return rec
 
 
 def legendre_oracle_suite(max_prime: int = 199) -> SuiteResult:
     """Euler's criterion against exhaustive square enumeration, plus multiplicativity."""
-    rec = _Recorder("legendre-oracle")
+    rec = SuiteResult("legendre-oracle")
     for p in odd_primes_upto(max_prime):
         squares = {x * x % p for x in range(1, p)}
         table = {k: legendre(k, p) for k in range(1, p)}
@@ -162,14 +153,14 @@ def legendre_oracle_suite(max_prime: int = 199) -> SuiteResult:
                     table[a * b % p] == ta * table[b],
                     lambda a=a, b=b, p=p: f"({a}*{b}/{p}) != ({a}/{p})({b}/{p})",
                 )
-    return rec.result()
+    return rec
 
 
 def lemma_equivalence_suite(
     max_prime: int = 31, max_degree: int = 50, trials: int = 200, seed: int = 0
 ) -> SuiteResult:
     """Brute-force series verdicts equal the closed-form criterion on a full sweep."""
-    rec = _Recorder("lemma-equivalence")
+    rec = SuiteResult("lemma-equivalence")
     for p in odd_primes_upto(max_prime):
         for magnitude in range(1, max_degree + 1):
             for k in (magnitude, -magnitude):
@@ -184,13 +175,23 @@ def lemma_equivalence_suite(
                             f"criterion={c} but bruteforce={b} at p={p}, k={k}, epsilon={e:+d}"
                         ),
                     )
-    return rec.result()
+    return rec
 
 
 def run_all(
     max_prime: int = 31, max_degree: int = 50, trials: int = 200, seed: int = 0
 ) -> list[SuiteResult]:
-    """Every suite, in a fixed order."""
+    """Every suite, in a fixed order.
+
+    Parameters that would leave the prime, degree or trial sweep empty are
+    rejected before any suite runs, so a pass is never vacuous.
+    """
+    if max_prime < 3:
+        raise ValueError(f"max_prime must be at least 3, got {max_prime}: no odd prime to sweep")
+    if max_degree < 1:
+        raise ValueError(f"max_degree must be at least 1, got {max_degree}: no degree to sweep")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}: no brute-force trial to run")
     return [
         ring_axiom_suite(seed=seed),
         adams_law_suite(seed=seed),

@@ -47,6 +47,26 @@ def pascal_binomial(n: int, k: int) -> int:
     return row[k]
 
 
+def _map_pullback(k: int, higher: list[int], order: int) -> list[int]:
+    """k*t^2 + higher[0]*t^3 + ..., truncated to the order."""
+    s = [0, 0, k] + list(higher)
+    return (s + [0] * order)[:order]
+
+
+def psi_then_pullback_exact(p: int, epsilon: int, k: int, higher: list[int], order: int) -> list[int]:
+    """S^p + 2*epsilon*p*S^((p+1)/2) over Z, for S the map's pullback."""
+    s = _map_pullback(k, higher, order)
+    top = schoolbook_pow(s, p, order)
+    middle = schoolbook_pow(s, (p + 1) // 2, order)
+    return [a + 2 * epsilon * p * b for a, b in zip(top, middle)]
+
+
+def pullback_then_psi_exact(p: int, k: int, higher: list[int], order: int) -> list[int]:
+    """S((1+t)^p - 1) over Z, the binomials from Pascal's triangle."""
+    generator = [0] + [pascal_binomial(p, n) for n in range(1, order)]
+    return schoolbook_compose(_map_pullback(k, higher, order), generator, order)
+
+
 def squares_mod(p: int) -> set[int]:
     """The set of non-zero quadratic residues mod p."""
     return {x * x % p for x in range(1, p)}

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hpgenus import adams, cli
+from hpgenus import adams, cli, selftest
 from hpgenus.primes import PRIME_TEST_CEILING
 from hpgenus.selftest import SuiteResult
 
@@ -298,6 +298,40 @@ class TestSelftest:
         assert code == 2
         assert "selftest: FAIL" in out
         assert "first counterexample" in out
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-degree", "0"], "max_degree must be at least 1"),
+            (["--max-degree", "-5"], "max_degree must be at least 1"),
+            (["--max-prime", "2"], "max_prime must be at least 3"),
+            (["--max-prime", "1"], "max_prime must be at least 3"),
+            (["--trials", "0"], "trials must be at least 1"),
+        ],
+    )
+    def test_empty_sweep_exits_one_before_any_suite(self, capsys, monkeypatch, flags, message):
+        def never(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(selftest, "ring_axiom_suite", never)
+        code, out, err = run_cli(capsys, "selftest", *flags)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    def test_frobenius_suite_builds_each_psi_table_once(self):
+        # 11 primes up to 31 times 15 orders 2..16: one table per (prime, order)
+        adams._psi_rows.cache_clear()
+        assert selftest.frobenius_suite().checks == 5500
+        assert adams._psi_rows.cache_info().misses <= 165
+
+    def test_suite_result_records_the_first_failure(self):
+        result = SuiteResult("demo")
+        result.check(True, lambda: "unused")
+        result.check(False, lambda: "first")
+        result.check(False, lambda: "second")
+        assert result == SuiteResult("demo", 3, 2, "first")
+        assert not result.ok
 
 
 class TestDeterminismAndPlumbing:

@@ -9,9 +9,9 @@ import hpgenus.genus
 import hpgenus.obstruction
 from hpgenus.genus import (
     DegreeMapModel,
-    GenusPsiModel,
     check_degree_prime_to,
     check_odd_prime,
+    check_sign,
     make_genus,
     psi_then_pullback,
     pullback_then_psi,
@@ -299,8 +299,8 @@ class TestOneValidatorPerFact:
             lambda p: compatible_bruteforce(p, 1, 2, trials=1),
             lambda p: admissible(make_genus(1, {}), 2, [p]),
             example_xp,
-            lambda p: GenusPsiModel.with_zero_unknowns(p, 1, 8),
-            lambda p: pullback_then_psi(p, DegreeMapModel(1), 8),
+            lambda p: psi_then_pullback(p, 1, DegreeMapModel(1)),
+            lambda p: pullback_then_psi(p, DegreeMapModel(1)),
         ],
         ids=[
             "legendre",
@@ -308,7 +308,7 @@ class TestOneValidatorPerFact:
             "compatible_bruteforce",
             "admissible",
             "example_xp",
-            "GenusPsiModel",
+            "psi_then_pullback",
             "pullback_then_psi",
         ],
     )
@@ -326,9 +326,7 @@ class TestOneValidatorPerFact:
             lambda p, k: legendre(k, p),
             lambda p, k: compatible(p, 1, k),
             lambda p, k: compatible_bruteforce(p, 1, k, trials=1),
-            lambda p, k: psi_then_pullback(
-                GenusPsiModel.with_zero_unknowns(p, 1, p + 2), DegreeMapModel(k), p + 2
-            ),
+            lambda p, k: psi_then_pullback(p, 1, DegreeMapModel(k)),
         ],
         ids=["legendre", "compatible", "compatible_bruteforce", "psi_then_pullback"],
     )
@@ -337,6 +335,24 @@ class TestOneValidatorPerFact:
             check_degree_prime_to(k, p)
         with pytest.raises(ValueError) as got:
             call(p, k)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("p,k", [(3, 2), (9, 2), (3, 6), (9, 6)])
+    @pytest.mark.parametrize("epsilon", [0, 2, -2, True])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, e, k: compatible(p, e, k),
+            lambda p, e, k: compatible_bruteforce(p, e, k, trials=1),
+            lambda p, e, k: psi_then_pullback(p, e, DegreeMapModel(k)),
+        ],
+        ids=["compatible", "compatible_bruteforce", "psi_then_pullback"],
+    )
+    def test_bad_sign_has_one_message_whatever_else_is_bad(self, call, p, epsilon, k):
+        with pytest.raises(ValueError) as expected:
+            check_sign(epsilon)
+        with pytest.raises(ValueError) as got:
+            call(p, epsilon, k)
         assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize(
