@@ -16,7 +16,6 @@ from .genus import (
     DegreeMapModel,
     RectorInvariant,
     Sign,
-    make_genus,
     psi_then_pullback,
     pullback_then_psi,
     random_degree_map,
@@ -53,7 +52,6 @@ __all__ = [
     "forced_genus",
     "is_prime",
     "legendre",
-    "make_genus",
     "odd_primes_upto",
     "psi_apply",
     "psi_generator",

@@ -19,18 +19,15 @@ Exit codes:
     3   internal inconsistency: the two verification routes disagree
         (must never happen)
 
-Output is byte-identical for identical flags and seed.  Results go to
-stdout (JSON as a single document with sorted keys); diagnostics go to
-stderr.  The environment variable HPGENUS_SEED, when set, overrides the
-default seed of 0 for commands that take --seed; an explicit --seed always
-wins.
+Output is byte-identical for identical flags: the seed is 0 unless --seed
+sets it, and no environment variable changes it.  Results go to stdout
+(JSON as a single document with sorted keys); diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import selftest
@@ -44,8 +41,6 @@ from .genus import (
     sign_to_str,
 )
 from .primes import odd_primes_upto
-
-SEED_ENV_VAR = "HPGENUS_SEED"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,7 +103,7 @@ def parse_genus_spec(spec: str) -> RectorInvariant:
             exceptions[prime] = sign_from_str(sign_text.strip())
     if default is None:
         raise ValueError(f"genus spec {spec!r} is missing 'default=+1' or 'default=-1'")
-    return RectorInvariant(default, tuple(exceptions.items()))
+    return RectorInvariant(default, exceptions)
 
 
 def _load_genus(args) -> RectorInvariant:
@@ -116,18 +111,6 @@ def _load_genus(args) -> RectorInvariant:
         return parse_genus_spec(args.genus)
     with open(args.genus_file, "r", encoding="utf-8") as handle:
         return RectorInvariant.from_json_dict(json.load(handle))
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
 
 
 def _emit(payload: dict, rows: list[tuple[str, str]], fmt: str) -> None:
@@ -150,8 +133,7 @@ def _genus_inline(genus: RectorInvariant) -> str:
 
 
 def _cmd_verify_lemma(args) -> int:
-    p, k, epsilon = args.prime, args.degree, args.epsilon
-    seed = _resolve_seed(args)
+    p, k, epsilon, seed = args.prime, args.degree, args.epsilon, args.seed
     closed = obstruction.compatible(p, epsilon, k)
     brute = obstruction.compatible_bruteforce(p, epsilon, k, trials=args.trials, seed=seed)
     # display coefficients from the map with no higher terms; the randomized
@@ -269,9 +251,8 @@ def _cmd_example_xp(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    seed = _resolve_seed(args)
     results = selftest.run_all(
-        max_prime=args.max_prime, max_degree=args.max_degree, trials=args.trials, seed=seed
+        max_prime=args.max_prime, max_degree=args.max_degree, trials=args.trials, seed=args.seed
     )
     width = max(len(r.name) for r in results)
     for r in results:
@@ -306,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True, help="non-zero degree coprime to p")
     p.add_argument("--epsilon", type=_sign_arg, required=True, help="genus sign at p: +1 or -1")
     p.add_argument("--trials", type=int, default=200, help="brute-force trials (default 200)")
-    p.add_argument("--seed", type=int, default=None, help="randomization seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="randomization seed (default 0)")
     add_format(p)
     p.set_defaults(func=_cmd_verify_lemma)
 
@@ -340,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-degree", type=int, default=50, help="largest |degree| to sweep (default 50)"
     )
     p.add_argument("--trials", type=int, default=200, help="brute-force trials (default 200)")
-    p.add_argument("--seed", type=int, default=None, help="randomization seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="randomization seed (default 0)")
     p.set_defaults(func=_cmd_selftest)
 
     return parser

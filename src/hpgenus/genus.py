@@ -83,9 +83,11 @@ def sign_from_str(text: str) -> int:
 class RectorInvariant:
     """Per-prime sign invariants of a genus point.
 
-    Stored canonically: ``exceptions`` holds only primes whose sign differs
-    from the default, as sorted (prime, sign) pairs, so structural equality
-    is semantic equality.  ``lookup`` is total over the primes, including 2.
+    ``exceptions`` may be given as a {prime: sign} mapping or as (prime,
+    sign) pairs; non-prime keys and repeated primes are rejected.  It is
+    stored canonically, holding only primes whose sign differs from the
+    default as sorted (prime, sign) pairs, so structural equality is
+    semantic equality.  ``lookup`` is total over the primes, including 2.
     A default of -1 with finitely many +1 exceptions is just as legal as
     the usual all-but-finitely +1 points.
     """
@@ -143,16 +145,7 @@ class RectorInvariant:
             exceptions = {int(p): sign_from_str(s) for p, s in data.get("exceptions", {}).items()}
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed genus document: {data!r}") from exc
-        return cls(default, tuple(exceptions.items()))
-
-
-def make_genus(default: Sign, exceptions: Mapping[int, Sign]) -> RectorInvariant:
-    """Build a genus point from a default sign and per-prime exceptions.
-
-    Exceptions equal to the default are dropped (canonical form); non-prime
-    keys are rejected.
-    """
-    return RectorInvariant(default, tuple(exceptions.items()))
+        return cls(default, exceptions)
 
 
 @dataclass(frozen=True)
@@ -177,15 +170,7 @@ class DegreeMapModel:
 
     def as_series(self, order: int) -> TruncatedSeries:
         """degree * t^2 plus the higher terms, truncated to the given order."""
-        coeffs = [0] * order
-        if order > 2:
-            coeffs[2] = self.degree
-        for i, c in enumerate(self.higher):
-            n = 3 + i
-            if n >= order:
-                break
-            coeffs[n] = c
-        return TruncatedSeries(order, coeffs)
+        return TruncatedSeries(order, ((0, 0, self.degree) + self.higher)[:order])
 
 
 def psi_then_pullback(p: int, epsilon: Sign, f: DegreeMapModel) -> TruncatedSeries:

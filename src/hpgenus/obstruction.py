@@ -61,10 +61,7 @@ def compatible(p: int, epsilon: Sign, k: int) -> bool:
     True iff epsilon * k^((p-1)/2) is congruent to 1 mod p, which is the
     same as epsilon == legendre(k, p).
     """
-    check_sign(epsilon)
-    check_odd_prime(p)
-    check_degree_prime_to(k, p)
-    return epsilon == _symbol(k, p)
+    return check_sign(epsilon) == legendre(k, p)
 
 
 def compatible_bruteforce(

@@ -57,7 +57,7 @@ def odd_primes_upto(bound: int) -> list[int]:
     for p in range(2, int(bound**0.5) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [n for n in range(3, bound + 1) if sieve[n] and n % 2]
+    return [n for n in range(3, bound + 1, 2) if sieve[n]]
 
 
 def distinct_odd_prime_factors(n: int) -> list[int]:

@@ -2,7 +2,9 @@
 
 Each suite runs a batch of checks that must all hold, counts them, and
 records the first counterexample if any check fails.  Sweeps are seeded, so
-two runs with the same parameters see exactly the same inputs.
+two runs with the same parameters see exactly the same inputs.  The sizes of
+the sweeps the CLI does not expose are the module constants below; a suite
+that ran no check does not pass.
 """
 
 from __future__ import annotations
@@ -16,6 +18,17 @@ from .obstruction import compatible, compatible_bruteforce, legendre
 from .primes import odd_primes_upto
 from .series import TruncatedSeries
 
+RING_TRIALS = 1000
+RING_MAX_ORDER = 16
+ADAMS_MAX_INDEX = 12
+ADAMS_ORDER = 32
+ADAMS_TRIALS = 200
+FROBENIUS_COUNT = 500
+LEGENDRE_MAX_PRIME = 199
+#: random coefficients are drawn from [-bound, bound]
+SERIES_BOUND = 99
+REDUCED_BOUND = 9
+
 
 @dataclass
 class SuiteResult:
@@ -26,7 +39,7 @@ class SuiteResult:
 
     @property
     def ok(self) -> bool:
-        return self.failures == 0
+        return self.checks > 0 and self.failures == 0
 
     def check(self, ok: bool, describe: Callable[[], str]) -> None:
         """Count one check; describe the first failing one."""
@@ -37,20 +50,22 @@ class SuiteResult:
                 self.first_counterexample = describe()
 
 
-def _random_series(rng: random.Random, order: int, lo: int = -99, hi: int = 99) -> TruncatedSeries:
-    return TruncatedSeries(order, [rng.randint(lo, hi) for _ in range(order)])
+def _random_series(rng: random.Random, order: int) -> TruncatedSeries:
+    return TruncatedSeries(order, [rng.randint(-SERIES_BOUND, SERIES_BOUND) for _ in range(order)])
 
 
-def _random_reduced(rng: random.Random, order: int, lo: int = -9, hi: int = 9) -> TruncatedSeries:
-    return TruncatedSeries(order, [0] + [rng.randint(lo, hi) for _ in range(order - 1)])
+def _random_reduced(rng: random.Random, order: int) -> TruncatedSeries:
+    return TruncatedSeries(
+        order, [0] + [rng.randint(-REDUCED_BOUND, REDUCED_BOUND) for _ in range(order - 1)]
+    )
 
 
-def ring_axiom_suite(trials: int = 1000, max_order: int = 16, seed: int = 0) -> SuiteResult:
+def ring_axiom_suite(seed: int = 0) -> SuiteResult:
     """Ring axioms, composition associativity, and reduction laws on random inputs."""
     rec = SuiteResult("ring-axioms")
     rng = random.Random(f"{seed}:ring")
-    for _ in range(trials):
-        n = rng.randint(1, max_order)
+    for _ in range(RING_TRIALS):
+        n = rng.randint(1, RING_MAX_ORDER)
         a, b, c = (_random_series(rng, n) for _ in range(3))
         zero = TruncatedSeries.zero(n)
         one = TruncatedSeries.one(n)
@@ -83,27 +98,25 @@ def ring_axiom_suite(trials: int = 1000, max_order: int = 16, seed: int = 0) -> 
     return rec
 
 
-def adams_law_suite(
-    max_index: int = 12, order: int = 32, trials: int = 200, seed: int = 0
-) -> SuiteResult:
+def adams_law_suite(seed: int = 0) -> SuiteResult:
     """psi^a psi^b = psi^(ab), psi^1 = id, and ring-endomorphism behaviour."""
     rec = SuiteResult("adams-laws")
-    for a in range(1, max_index + 1):
-        for b in range(1, max_index + 1):
+    for a in range(1, ADAMS_MAX_INDEX + 1):
+        for b in range(1, ADAMS_MAX_INDEX + 1):
             rec.check(
-                check_composition(a, b, order),
-                lambda a=a, b=b: f"psi^{a} psi^{b} != psi^{a * b} at order {order}",
+                check_composition(a, b, ADAMS_ORDER),
+                lambda a=a, b=b: f"psi^{a} psi^{b} != psi^{a * b} at order {ADAMS_ORDER}",
             )
-    for r in range(1, max_index * max_index + 1):
+    for r in range(1, ADAMS_MAX_INDEX * ADAMS_MAX_INDEX + 1):
         g = psi_generator(r, 8)
         rec.check(
             g.coefficient(0) == 0 and g.coefficient(1) == r,
             lambda r=r, g=g: f"generator image of psi^{r} malformed: {g!r}",
         )
     rng = random.Random(f"{seed}:adams")
-    for _ in range(trials):
+    for _ in range(ADAMS_TRIALS):
         n = rng.randint(2, 16)
-        r = rng.randint(1, max_index)
+        r = rng.randint(1, ADAMS_MAX_INDEX)
         f = _random_reduced(rng, n)
         g = _random_reduced(rng, n)
         rec.check(
@@ -118,12 +131,12 @@ def adams_law_suite(
     return rec
 
 
-def frobenius_suite(max_prime: int = 31, count: int = 500, seed: int = 0) -> SuiteResult:
+def frobenius_suite(max_prime: int = 31, seed: int = 0) -> SuiteResult:
     """psi^p(f) = f^p mod p across primes up to max_prime and random f."""
     rec = SuiteResult("frobenius")
     primes = ([2] if max_prime >= 2 else []) + odd_primes_upto(max_prime)
     rng = random.Random(f"{seed}:frobenius")
-    series = [_random_reduced(rng, rng.randint(2, 16)) for _ in range(count)]
+    series = [_random_reduced(rng, rng.randint(2, 16)) for _ in range(FROBENIUS_COUNT)]
     # primes outside, so each prime's psi tables stay in the bounded cache
     for p in primes:
         for f in series:
@@ -134,10 +147,10 @@ def frobenius_suite(max_prime: int = 31, count: int = 500, seed: int = 0) -> Sui
     return rec
 
 
-def legendre_oracle_suite(max_prime: int = 199) -> SuiteResult:
+def legendre_oracle_suite() -> SuiteResult:
     """Euler's criterion against exhaustive square enumeration, plus multiplicativity."""
     rec = SuiteResult("legendre-oracle")
-    for p in odd_primes_upto(max_prime):
+    for p in odd_primes_upto(LEGENDRE_MAX_PRIME):
         squares = {x * x % p for x in range(1, p)}
         table = {k: legendre(k, p) for k in range(1, p)}
         for k in range(1, p):

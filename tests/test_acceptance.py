@@ -10,7 +10,7 @@ import time
 
 from hpgenus import selftest
 from hpgenus.genus import (
-    make_genus,
+    RectorInvariant,
     psi_then_pullback,
     pullback_then_psi,
     random_degree_map,
@@ -90,7 +90,7 @@ def test_criterion_3_bruteforce_equals_criterion():
     """The brute-force series verdict agrees with the closed-form sign
     criterion on the whole sweep: zero disagreements."""
     started = time.perf_counter()
-    result = selftest.lemma_equivalence_suite(MAX_PRIME, MAX_DEGREE, TRIALS, SEED)
+    result = selftest.lemma_equivalence_suite()
     _report_suites(3, "series expansion equals the closed-form criterion", started, result)
 
 
@@ -98,7 +98,7 @@ def test_criterion_4_legendre_against_enumeration():
     """Euler-criterion symbol equals exhaustive square enumeration for all
     odd p <= 199 and all k in [1, p), and is multiplicative in k."""
     started = time.perf_counter()
-    result = selftest.legendre_oracle_suite(199)
+    result = selftest.legendre_oracle_suite()
     _report_suites(
         4, "Legendre symbol vs square enumeration and multiplicativity", started, result
     )
@@ -108,8 +108,8 @@ def test_criterion_5_adams_operation_laws():
     """psi^a psi^b = psi^(ab) exactly for a, b <= 12 at order 32, and
     psi^p(f) = f^p mod p for all primes p <= 31 over 500 random series."""
     started = time.perf_counter()
-    laws = selftest.adams_law_suite(12, 32, TRIALS, SEED)
-    frobenius = selftest.frobenius_suite(MAX_PRIME, 500, SEED)
+    laws = selftest.adams_law_suite()
+    frobenius = selftest.frobenius_suite()
     _report_suites(
         5, "Adams composition law and Frobenius congruence", started, laws, frobenius
     )
@@ -121,20 +121,20 @@ def test_criterion_6_only_all_plus_survives_degree_one():
     started = time.perf_counter()
     failures = []
     primes = odd_primes_upto(100)
-    if not admissible(make_genus(1, {}), 1, primes).is_admissible:
+    if not admissible(RectorInvariant(1, {}), 1, primes).is_admissible:
         failures.append(("all-plus point rejected",))
     for p in primes:
-        verdict = admissible(make_genus(1, {p: -1}), 1, primes)
+        verdict = admissible(RectorInvariant(1, {p: -1}), 1, primes)
         if verdict.outcome != "Obstructed" or verdict.prime != p:
             failures.append(("single minus", p, verdict))
     rng = random.Random(f"{SEED}:acceptance-genus-points")
     for _ in range(200):
         chosen = rng.sample(primes, rng.randint(1, 6))
-        verdict = admissible(make_genus(1, {p: -1 for p in chosen}), 1, primes)
+        verdict = admissible(RectorInvariant(1, {p: -1 for p in chosen}), 1, primes)
         if verdict.outcome != "Obstructed" or verdict.prime != min(chosen):
             failures.append(("multi minus", tuple(chosen), verdict))
     # an all-minus-by-default point has -1 everywhere in range
-    if admissible(make_genus(-1, {}), 1, primes).outcome != "Obstructed":
+    if admissible(RectorInvariant(-1, {}), 1, primes).outcome != "Obstructed":
         failures.append(("minus default point admitted",))
     _report(6, "degree 1 singles out the all-plus genus point", failures, started)
 

@@ -6,7 +6,6 @@ from hypothesis import assume, given, strategies as st
 from hpgenus.genus import (
     DegreeMapModel,
     RectorInvariant,
-    make_genus,
     psi_then_pullback,
     pullback_then_psi,
     random_degree_map,
@@ -34,41 +33,46 @@ class TestSigns:
 
 class TestRectorInvariant:
     def test_all_plus_point(self):
-        point = make_genus(1, {})
+        point = RectorInvariant(1, {})
         assert point.exceptions == ()
         assert point.lookup(2) == 1
         assert point.lookup(97) == 1
 
     def test_single_exception(self):
-        point = make_genus(1, {3: -1})
+        point = RectorInvariant(1, {3: -1})
         assert point.lookup(3) == -1
         assert point.lookup(5) == 1
         assert point.exceptions == ((3, -1),)
 
     def test_default_valued_exceptions_are_dropped(self):
-        assert make_genus(1, {5: 1}) == make_genus(1, {})
+        assert RectorInvariant(1, {5: 1}) == RectorInvariant(1, {})
 
     def test_minus_default_is_allowed(self):
-        point = make_genus(-1, {7: 1})
+        point = RectorInvariant(-1, {7: 1})
         assert point.lookup(7) == 1
         assert point.lookup(11) == -1
 
     def test_non_prime_keys_rejected(self):
         with pytest.raises(ValueError, match="prime"):
-            make_genus(1, {4: -1})
+            RectorInvariant(1, {4: -1})
         with pytest.raises(ValueError, match="prime"):
-            make_genus(1, {1: -1})
+            RectorInvariant(1, {1: -1})
+
+    def test_pairs_build_the_same_point_as_a_mapping(self):
+        assert RectorInvariant(1, ((7, -1), (3, -1))) == RectorInvariant(1, {3: -1, 7: -1})
+        with pytest.raises(ValueError, match="duplicate"):
+            RectorInvariant(1, ((3, -1), (3, 1)))
 
     def test_lookup_requires_a_prime(self):
         with pytest.raises(ValueError):
-            make_genus(1, {}).lookup(6)
+            RectorInvariant(1, {}).lookup(6)
 
     def test_exceptions_sorted_canonically(self):
-        point = make_genus(1, {11: -1, 3: -1, 7: -1})
+        point = RectorInvariant(1, {11: -1, 3: -1, 7: -1})
         assert point.exceptions == ((3, -1), (7, -1), (11, -1))
 
     def test_json_round_trip(self):
-        point = make_genus(1, {3: -1, 11: -1})
+        point = RectorInvariant(1, {3: -1, 11: -1})
         doc = point.to_json_dict()
         assert doc == {"default": "+1", "exceptions": {"3": "-1", "11": "-1"}}
         assert RectorInvariant.from_json_dict(doc) == point
@@ -85,10 +89,12 @@ class TestDegreeMapModel:
         with pytest.raises(ValueError, match="non-zero"):
             DegreeMapModel(0)
 
-    def test_series_shape(self):
-        f = DegreeMapModel(5, (7, -2))
-        s = f.as_series(8)
-        assert s.coeffs == (0, 0, 5, 7, -2, 0, 0, 0)
+    @pytest.mark.parametrize(
+        "order, coeffs",
+        [(1, (0,)), (2, (0, 0)), (3, (0, 0, 5)), (8, (0, 0, 5, 7, -2, 0, 0, 0))],
+    )
+    def test_series_shape(self, order, coeffs):
+        assert DegreeMapModel(5, (7, -2)).as_series(order).coeffs == coeffs
 
     def test_higher_terms_beyond_order_are_cut(self):
         f = DegreeMapModel(1, (1, 2, 3, 4, 5, 6, 7))

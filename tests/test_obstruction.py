@@ -9,10 +9,10 @@ import hpgenus.genus
 import hpgenus.obstruction
 from hpgenus.genus import (
     DegreeMapModel,
+    RectorInvariant,
     check_degree_prime_to,
     check_odd_prime,
     check_sign,
-    make_genus,
     psi_then_pullback,
     pullback_then_psi,
 )
@@ -137,58 +137,58 @@ class TestCompatibleBruteforce:
 
 class TestAdmissible:
     def test_all_plus_point_survives_degree_one(self):
-        verdict = admissible(make_genus(1, {}), 1, odd_primes_upto(100))
+        verdict = admissible(RectorInvariant(1, {}), 1, odd_primes_upto(100))
         assert verdict.is_admissible
         assert verdict.skipped == ()
 
     def test_single_minus_point_obstructed_at_degree_one(self):
-        verdict = admissible(make_genus(1, {3: -1}), 1, [3])
+        verdict = admissible(RectorInvariant(1, {3: -1}), 1, [3])
         assert verdict == Verdict("Obstructed", prime=3, required=1, actual=-1, skipped=())
 
     def test_obstruction_reports_smallest_prime(self):
         # k = 2 passes at 3 (both -1), fails at 5 (required -1, actual +1)
-        verdict = admissible(make_genus(1, {3: -1}), 2, [3, 5, 7])
+        verdict = admissible(RectorInvariant(1, {3: -1}), 2, [3, 5, 7])
         assert verdict.outcome == "Obstructed"
         assert verdict.prime == 5
         assert verdict.required == -1
         assert verdict.actual == 1
 
     def test_primes_dividing_degree_are_skipped(self):
-        verdict = admissible(make_genus(1, {}), 15, [3, 5, 7])
+        verdict = admissible(RectorInvariant(1, {}), 15, [3, 5, 7])
         assert verdict.skipped == (3, 5)
         # only 7 is tested: legendre(15, 7) = legendre(1, 7) = +1
         assert verdict.is_admissible
 
     def test_skipped_and_tested_disjoint_even_when_obstructed(self):
-        verdict = admissible(make_genus(1, {7: -1}), 15, [3, 5, 7])
+        verdict = admissible(RectorInvariant(1, {7: -1}), 15, [3, 5, 7])
         assert verdict.outcome == "Obstructed" and verdict.prime == 7
         assert 7 not in verdict.skipped
 
     def test_even_prime_rejected(self):
         with pytest.raises(ValueError):
-            admissible(make_genus(1, {}), 1, [2, 3])
+            admissible(RectorInvariant(1, {}), 1, [2, 3])
 
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
-            admissible(make_genus(1, {}), 1, [9])
+            admissible(RectorInvariant(1, {}), 1, [9])
 
     def test_zero_degree_rejected(self):
         with pytest.raises(ValueError):
-            admissible(make_genus(1, {}), 0, [3])
+            admissible(RectorInvariant(1, {}), 0, [3])
 
     def test_empty_prime_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            admissible(make_genus(1, {}), 1, [])
+            admissible(RectorInvariant(1, {}), 1, [])
 
     def test_every_prime_dividing_the_degree_rejected(self):
         # every prime would be skipped, so nothing would be tested
         with pytest.raises(ValueError, match="divides the degree"):
-            admissible(make_genus(1, {3: -1}), 3, [3])
+            admissible(RectorInvariant(1, {3: -1}), 3, [3])
         with pytest.raises(ValueError, match="divides the degree"):
-            admissible(make_genus(1, {}), -15, [5, 3])
+            admissible(RectorInvariant(1, {}), -15, [5, 3])
 
     def test_verdict_json_shape(self):
-        verdict = admissible(make_genus(1, {3: -1}), 1, [3])
+        verdict = admissible(RectorInvariant(1, {3: -1}), 1, [3])
         assert verdict.to_json_dict() == {
             "outcome": "Obstructed",
             "prime": 3,
@@ -198,7 +198,7 @@ class TestAdmissible:
         }
 
     def test_square_degrees_never_obstruct_all_plus(self):
-        point = make_genus(1, {})
+        point = RectorInvariant(1, {})
         for m in (1, 2, 3, 6, 10):
             k = m * m
             primes = [p for p in odd_primes_upto(60) if k % p]
@@ -264,7 +264,7 @@ class TestExampleXp:
     def test_known_witnesses(self, p, expected):
         point, witness = example_xp(p)
         assert witness == expected
-        assert point == make_genus(1, {p: -1})
+        assert point == RectorInvariant(1, {p: -1})
 
     @pytest.mark.parametrize("p", odd_primes_upto(101))
     def test_witness_is_smallest_nonresidue(self, p):
@@ -297,7 +297,7 @@ class TestOneValidatorPerFact:
             lambda p: legendre(2, p),
             lambda p: compatible(p, 1, 2),
             lambda p: compatible_bruteforce(p, 1, 2, trials=1),
-            lambda p: admissible(make_genus(1, {}), 2, [p]),
+            lambda p: admissible(RectorInvariant(1, {}), 2, [p]),
             example_xp,
             lambda p: psi_then_pullback(p, 1, DegreeMapModel(1)),
             lambda p: pullback_then_psi(p, DegreeMapModel(1)),
@@ -375,7 +375,7 @@ class TestOneValidatorPerFact:
         ],
     )
     def test_each_prime_is_checked_at_most_once_per_call(self, monkeypatch, call):
-        point = make_genus(1, {13: -1, 23: -1})
+        point = RectorInvariant(1, {13: -1, 23: -1})
         checked = Counter()
 
         def counting_is_prime(n):
@@ -407,7 +407,7 @@ class TestEquivalenceSampling:
         primes = odd_primes_upto(100)
         for _ in range(50):
             chosen = rng.sample(primes, rng.randint(1, 4))
-            point = make_genus(1, {p: -1 for p in chosen})
+            point = RectorInvariant(1, {p: -1 for p in chosen})
             verdict = admissible(point, 1, primes)
             assert verdict.outcome == "Obstructed"
             assert verdict.prime == min(chosen)

@@ -1,6 +1,6 @@
 import pytest
 
-from hpgenus.primes import PRIME_TEST_CEILING, is_prime
+from hpgenus.primes import PRIME_TEST_CEILING, is_prime, odd_primes_upto
 
 from oracles import trial_division_is_prime
 
@@ -9,6 +9,12 @@ def test_agrees_with_trial_division_below_two_hundred_thousand():
     assert [n for n in range(-3, 200_000) if is_prime(n)] == [
         n for n in range(-3, 200_000) if trial_division_is_prime(n)
     ]
+
+
+def test_odd_primes_upto_agrees_with_trial_division():
+    odd_primes = [n for n in range(3, 3000) if trial_division_is_prime(n)]
+    for bound in range(-2, 3000):
+        assert odd_primes_upto(bound) == [q for q in odd_primes if q <= bound], bound
 
 
 @pytest.mark.parametrize("value", [True, False, 7.0, "7", None])
