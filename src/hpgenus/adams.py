@@ -73,8 +73,7 @@ def psi_apply(r: int, f: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("psi acts on reduced classes: the constant term must be zero")
     # the coefficients past the last row multiply zero powers
     rows = _psi_rows(r, f.order, f.modulus)
-    terms = [c * row for c, row in zip(f.coeffs[1:], rows) if c]
-    return sum(terms[1:], terms[0]) if terms else f * 0
+    return TruncatedSeries.combination(f.order, f.modulus, f.coeffs[1:], rows)
 
 
 def check_composition(a: int, b: int, order: int) -> bool:

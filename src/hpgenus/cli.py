@@ -47,6 +47,9 @@ EXIT_USAGE = 1
 EXIT_MATH_FAIL = 2
 EXIT_INCONSISTENT = 3
 
+#: the most brute-force trials ``--trials`` accepts, on verify-lemma and selftest
+TRIALS_CEILING = 100_000
+
 
 class _Parser(argparse.ArgumentParser):
     # usage errors must exit 1, not argparse's default 2 (2 means "the math
@@ -129,10 +132,16 @@ def _genus_inline(genus: RectorInvariant) -> str:
     return f"{body};{tail}" if body else tail
 
 
+def _check_trials_ceiling(trials: int) -> None:
+    if trials > TRIALS_CEILING:
+        raise ValueError(f"--trials must be at most {TRIALS_CEILING}, got {trials}")
+
+
 # -- commands ----------------------------------------------------------------
 
 
 def _cmd_verify_lemma(args) -> int:
+    _check_trials_ceiling(args.trials)
     p, k, epsilon, seed = args.prime, args.degree, args.epsilon, args.seed
     closed = obstruction.compatible(p, epsilon, k)
     brute = obstruction.compatible_bruteforce(p, epsilon, k, trials=args.trials, seed=seed)
@@ -251,6 +260,7 @@ def _cmd_example_xp(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    _check_trials_ceiling(args.trials)
     results = selftest.run_all(
         max_prime=args.max_prime, max_degree=args.max_degree, trials=args.trials, seed=args.seed
     )

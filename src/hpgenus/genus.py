@@ -22,16 +22,19 @@ residues of the exact integer routes because reduction and truncation are
 ring homomorphisms.  t^n has skeletal filtration 2n, so the filtration cut
 at 2p+3 that the comparison needs is truncation at order p+2.  The unknown
 terms of psi^p lie in filtration >= 2p+3, so they vanish at that order and
-are not modelled.
+are not modelled.  The brute force checks its arguments once per call and
+then calls unchecked cores that take S and compute only the t^(p+1)
+coefficient.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Mapping
 
-from .adams import psi_apply
+from .adams import _psi_rows, psi_apply
 from .primes import is_prime
 from .series import TruncatedSeries
 
@@ -173,6 +176,38 @@ class DegreeMapModel:
         return TruncatedSeries(order, ((0, 0, self.degree) + self.higher)[:order])
 
 
+def _pullback(p: int, f: DegreeMapModel) -> TruncatedSeries:
+    """S = f.as_series(p + 2).reduce(p^2), built once: f's ints are already checked."""
+    n, m = p + 2, p * p
+    coeffs = ((0, 0, f.degree) + f.higher)[:n]
+    return TruncatedSeries._trusted(n, [c % m for c in coeffs] + [0] * (n - len(coeffs)), m)
+
+
+def _lhs_factors(
+    p: int, epsilon: Sign, s: TruncatedSeries
+) -> tuple[TruncatedSeries, TruncatedSeries]:
+    # S^p + 2*epsilon*p*S^((p+1)/2) = S^((p+1)/2) * (S^((p-1)/2) + 2*epsilon*p)
+    lower = s ** ((p - 1) // 2)
+    return lower * s, lower + 2 * epsilon * p
+
+
+def _psi_then_pullback_top(p: int, epsilon: Sign, s: TruncatedSeries) -> int:
+    """The t^(p+1) coefficient of psi_then_pullback, from S, unchecked: one dot product."""
+    middle, rest = _lhs_factors(p, epsilon, s)
+    return sum(map(mul, middle.coeffs, reversed(rest.coeffs))) % s.modulus
+
+
+def _pullback_then_psi_top(p: int, s: TruncatedSeries) -> int:
+    """The t^(p+1) coefficient of pullback_then_psi, from S, unchecked.
+
+    psi^p is additive, so this is the sum of S_j times the t^(p+1)
+    coefficient of g^j, one column of the cached table of powers of the
+    generator image g.
+    """
+    rows = _psi_rows(p, p + 2, s.modulus)
+    return sum([c * row.coeffs[p + 1] for c, row in zip(s.coeffs[1:], rows)]) % s.modulus
+
+
 def psi_then_pullback(p: int, epsilon: Sign, f: DegreeMapModel) -> TruncatedSeries:
     """Apply psi^p upstairs, then pull back along f.  A residue series mod p^2.
 
@@ -182,11 +217,8 @@ def psi_then_pullback(p: int, epsilon: Sign, f: DegreeMapModel) -> TruncatedSeri
     check_sign(epsilon)
     check_odd_prime(p)
     check_degree_prime_to(f.degree, p)
-    s = f.as_series(p + 2).reduce(p * p)
-    lower = s ** ((p - 1) // 2)
-    middle = lower * s  # S^((p+1)/2)
-    # S^p + 2*epsilon*p*S^((p+1)/2) = S^((p+1)/2) * (S^((p-1)/2) + 2*epsilon*p)
-    return middle * (lower + 2 * epsilon * p)
+    middle, rest = _lhs_factors(p, epsilon, _pullback(p, f))
+    return middle * rest
 
 
 def pullback_then_psi(p: int, f: DegreeMapModel) -> TruncatedSeries:
@@ -195,21 +227,39 @@ def pullback_then_psi(p: int, f: DegreeMapModel) -> TruncatedSeries:
     A residue series mod p^2 in (Z/p^2)[t]/(t^(p+2)).
     """
     check_odd_prime(p)
-    return psi_apply(p, f.as_series(p + 2).reduce(p * p))
+    return psi_apply(p, _pullback(p, f))
 
 
 # -- seeded random models ----------------------------------------------------
 #
 # The independence claims ("the t^(p+1) coefficient mod p^2 does not depend
 # on the map's higher terms") are certified numerically by sweeping seeded
-# random maps through the two routes.  Each slot is drawn by
-# ``rng.randrange(-DRAW_BOUND, DRAW_BOUND + 1)``, which is what
-# ``rng.randint(-DRAW_BOUND, DRAW_BOUND)`` calls, so the values are those of
-# randint without its extra call.
+# random maps through the two routes.  Each slot holds the value
+# ``rng.randrange(-DRAW_BOUND, DRAW_BOUND + 1)`` would return, which is what
+# ``rng.randint(-DRAW_BOUND, DRAW_BOUND)`` calls: randrange takes the top five
+# bits of one 32-bit MT19937 word (M. Matsumoto and T. Nishimura, ACM TOMACS
+# 8, 1998) and draws again while they are 19 or more.  CPython's
+# ``getrandbits(32 * j)`` returns the next j words, the first in the lowest
+# bits, so the values still missing are drawn as one int, each word read by
+# its top byte, and the rejected words are made up by the next batch: the
+# same values, and the same generator state afterwards.
 DRAW_BOUND = 9
+#: top byte b of a word -> its top five bits b >> 3; the rejected bytes are deleted
+_TOP_BITS = bytes(b >> 3 for b in range(256))
+_REJECTED = bytes(range((2 * DRAW_BOUND + 1) << 3, 256))
 
 
 def random_degree_map(rng: random.Random, degree: int, order: int) -> DegreeMapModel:
-    """A degree map with every higher slot t^3..t^(order-1) drawn from [-DRAW_BOUND, DRAW_BOUND]."""
-    higher = tuple([rng.randrange(-DRAW_BOUND, DRAW_BOUND + 1) for _ in range(order - 3)])
-    return DegreeMapModel(degree, higher)
+    """A degree map with every higher slot t^3..t^(order-1) drawn from [-DRAW_BOUND, DRAW_BOUND].
+
+    The slots are the values of ``rng.randrange(-DRAW_BOUND, DRAW_BOUND + 1)``
+    called order - 3 times, and rng is left in the same state, but the words
+    are drawn in batches, one ``getrandbits`` call per batch.
+    """
+    higher: list[int] = []
+    need = order - 3
+    while need > 0:
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        higher += [v - DRAW_BOUND for v in words[3::4].translate(_TOP_BITS, _REJECTED)]
+        need = order - 3 - len(higher)
+    return DegreeMapModel(degree, tuple(higher))

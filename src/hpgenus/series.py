@@ -37,6 +37,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 #: Coefficients are plain Python ints: signed, arbitrary precision.
@@ -136,6 +137,13 @@ def _mul(a: Sequence[int], b: Sequence[int], n: int, modulus: Optional[int] = No
     return [0] * low + [c % modulus for c in _slots(product, size, code, k)]
 
 
+def _require_ring(order: int, modulus: Optional[int], other: "TruncatedSeries") -> None:
+    if order != other.order:
+        raise ValueError(f"order mismatch: {order} vs {other.order}")
+    if modulus != other.modulus:
+        raise ValueError(f"modulus mismatch: {modulus} vs {other.modulus}")
+
+
 class TruncatedSeries:
     """An element of Z[[t]]/(t^N), or of (Z/m)[t]/(t^N), where N = self.order.
 
@@ -219,12 +227,6 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def _require_same_ring(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-        if self.modulus != other.modulus:
-            raise ValueError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
@@ -232,7 +234,7 @@ class TruncatedSeries:
             return self._like((self.coeffs[0] + other,) + self.coeffs[1:])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._require_same_ring(other)
+        _require_ring(self.order, self.modulus, other)
         return self._like([x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
@@ -255,7 +257,7 @@ class TruncatedSeries:
             return self._like([other * c for c in self.coeffs])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._require_same_ring(other)
+        _require_ring(self.order, self.modulus, other)
         return TruncatedSeries._trusted(
             self.order, _mul(self.coeffs, other.coeffs, self.order, self.modulus), self.modulus
         )
@@ -285,6 +287,36 @@ class TruncatedSeries:
                 base = _mul(base, base, k, m)
         return TruncatedSeries._trusted(n, (0,) * low + tuple(result), m)
 
+    @classmethod
+    def combination(
+        cls,
+        order: int,
+        modulus: Optional[int],
+        scalars: Iterable[int],
+        terms: Iterable["TruncatedSeries"],
+    ) -> "TruncatedSeries":
+        """sum(c * s for c, s in zip(scalars, terms)), a series of this order and modulus.
+
+        Every term with a non-zero scalar must be in that ring; the others
+        are skipped unread.  The scaled terms are summed in one pass each and
+        reduced once, at the end.  With no term left the result is zero in
+        that ring.
+        """
+        acc = None
+        for c, term in zip(scalars, terms):
+            if not isinstance(c, int):
+                raise ValueError(f"scalars must be integers, got {c!r}")
+            if c:
+                _require_ring(order, modulus, term)
+                scaled = map(c.__mul__, term.coeffs)
+                acc = list(scaled) if acc is None else list(map(add, acc, scaled))
+        if acc is None:
+            zero = cls(order)
+            return zero if modulus is None else zero.reduce(modulus)
+        if modulus is not None:
+            acc = [c % modulus for c in acc]
+        return cls._trusted(order, acc, modulus)
+
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner), by Horner evaluation in the truncated ring.
 
@@ -293,7 +325,7 @@ class TruncatedSeries:
         """
         if not isinstance(inner, TruncatedSeries):
             raise ValueError(f"can only compose with a TruncatedSeries, got {inner!r}")
-        self._require_same_ring(inner)
+        _require_ring(self.order, self.modulus, inner)
         if inner.coeffs[0] != 0:
             raise ValueError("inner series of a composition must have zero constant term")
         n, m = self.order, self.modulus

@@ -7,6 +7,8 @@ agreement between the two sides is evidence, not tautology.
 
 from __future__ import annotations
 
+import random
+
 
 def schoolbook_mul(a: list[int], b: list[int], order: int) -> list[int]:
     """Truncated Cauchy product by plain index loops."""
@@ -65,6 +67,23 @@ def pullback_then_psi_exact(p: int, k: int, higher: list[int], order: int) -> li
     """S((1+t)^p - 1) over Z, the binomials from Pascal's triangle."""
     generator = [0] + [pascal_binomial(p, n) for n in range(1, order)]
     return schoolbook_compose(_map_pullback(k, higher, order), generator, order)
+
+
+def compatible_bruteforce_reference(p: int, epsilon: int, k: int, trials: int, seed: int) -> bool:
+    """The brute-force verdict from one randrange call per drawn slot and the
+    exact routes, compared at t^(p+1) mod p^2.
+
+    Same seed string and slot range, [-9, 9], as the library's draws.
+    """
+    rng = random.Random(f"{seed}:{p}:{k}")
+    order = p + 2
+    for _ in range(trials):
+        higher = [rng.randrange(-9, 10) for _ in range(order - 3)]
+        lhs = psi_then_pullback_exact(p, epsilon, k, higher, order)[p + 1]
+        rhs = pullback_then_psi_exact(p, k, higher, order)[p + 1]
+        if (lhs - rhs) % (p * p):
+            return False
+    return True
 
 
 def squares_mod(p: int) -> set[int]:

@@ -106,6 +106,54 @@ class TestVerifyLemma:
         assert "inconsistency" in err
 
 
+class TestTrialsCeiling:
+    """--trials has one ceiling, checked before any work on both commands."""
+
+    def test_verify_lemma_at_the_ceiling(self, capsys):
+        # (2/7) = +1, so the -1 sign fails on the first trial
+        code, out, _ = run_cli(
+            capsys, "verify-lemma", "--prime", "7", "--degree", "2", "--epsilon", "-1",
+            "--trials", str(cli.TRIALS_CEILING), "--format", "json",
+        )
+        assert code == 2
+        assert json.loads(out)["trials"] == cli.TRIALS_CEILING
+
+    def test_verify_lemma_above_the_ceiling_exits_one(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli.obstruction, "compatible", never)
+        code, out, err = run_cli(
+            capsys, "verify-lemma", "--prime", "7", "--degree", "2", "--epsilon", "+1",
+            "--trials", str(cli.TRIALS_CEILING + 1),
+        )
+        assert code == 1
+        assert out == ""
+        assert f"at most {cli.TRIALS_CEILING}" in err
+
+    def test_selftest_at_the_ceiling(self, capsys, monkeypatch):
+        seen = []
+
+        def passing(**kwargs):
+            seen.append(kwargs["trials"])
+            return [SuiteResult("lemma-equivalence", 1, 0)]
+
+        monkeypatch.setattr(selftest, "run_all", passing)
+        code, out, _ = run_cli(capsys, "selftest", "--trials", str(cli.TRIALS_CEILING))
+        assert code == 0
+        assert seen == [cli.TRIALS_CEILING]
+
+    def test_selftest_above_the_ceiling_exits_one(self, capsys, monkeypatch):
+        def never(**kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(selftest, "run_all", never)
+        code, out, err = run_cli(capsys, "selftest", "--trials", str(cli.TRIALS_CEILING + 1))
+        assert code == 1
+        assert out == ""
+        assert f"at most {cli.TRIALS_CEILING}" in err
+
+
 class TestAdmissible:
     def test_all_plus_degree_one(self, capsys):
         code, out, _ = run_cli(

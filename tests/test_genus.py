@@ -174,6 +174,16 @@ class TestRandomModels:
             assert f.higher == tuple(reference.randint(-9, 9) for _ in range(3, order))
         assert rng.getstate() == reference.getstate()
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 5, 29, 33, 100, 155])
+    def test_batched_draws_match_randrange_bit_for_bit(self, count):
+        """The batched draw rests on how CPython lays out getrandbits words; a
+        Python whose layout differs fails here instead of moving every stream."""
+        for seed in range(300):
+            rng, reference = random.Random(seed), random.Random(seed)
+            f = random_degree_map(rng, 1, count + 3)
+            assert list(f.higher) == [reference.randrange(-9, 10) for _ in range(count)], seed
+            assert rng.getstate() == reference.getstate(), seed
+
 
 class TestReductionStability:
     """The reduced routes must not depend on the map's higher terms at all."""

@@ -15,6 +15,7 @@ from hpgenus.genus import (
     check_sign,
     psi_then_pullback,
     pullback_then_psi,
+    random_degree_map,
 )
 from hpgenus.obstruction import (
     Verdict,
@@ -27,7 +28,12 @@ from hpgenus.obstruction import (
 )
 from hpgenus.primes import is_prime, odd_primes_upto
 
-from oracles import legendre_by_enumeration, smallest_nonresidue_above_one, squares_mod
+from oracles import (
+    compatible_bruteforce_reference,
+    legendre_by_enumeration,
+    smallest_nonresidue_above_one,
+    squares_mod,
+)
 
 
 class TestLegendre:
@@ -133,6 +139,31 @@ class TestCompatibleBruteforce:
             compatible_bruteforce(3, 1, 3)
         with pytest.raises(ValueError):
             compatible_bruteforce(3, 1, 1, trials=0)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_same_verdict_as_the_exact_reference(self, p):
+        """The verdict of a naive re-implementation over Z, on the same seeds
+        (randrange per slot, schoolbook routes, compared at t^(p+1) mod p^2)."""
+        for k in (1, -1, 2, -3, 5, 10, -12):
+            if k % p == 0:
+                continue
+            for epsilon in (1, -1):
+                for seed in (0, 1, 7):
+                    expected = compatible_bruteforce_reference(p, epsilon, k, 40, seed)
+                    assert compatible_bruteforce(p, epsilon, k, trials=40, seed=seed) is expected
+
+    @pytest.mark.parametrize("epsilon, trials, draws", [(1, 37, 37), (-1, 37, 1), (1, 1, 1)])
+    def test_one_map_drawn_per_trial_run(self, monkeypatch, epsilon, trials, draws):
+        # (2/7) = +1: a pass runs every trial, a fail stops after the first
+        counted = []
+
+        def counting(*args):
+            counted.append(args)
+            return random_degree_map(*args)
+
+        monkeypatch.setattr(hpgenus.obstruction, "random_degree_map", counting)
+        assert compatible_bruteforce(7, epsilon, 2, trials=trials) is (epsilon == 1)
+        assert len(counted) == draws
 
 
 class TestAdmissible:

@@ -351,6 +351,60 @@ class TestKernel:
         assert str(f) == "8 + t + t^2 + O(t^3) mod 9"
 
 
+class TestCombination:
+    """``combination`` against the sum of scalar products it replaces."""
+
+    @staticmethod
+    def scalar_products(order, modulus, scalars, terms):
+        zero = TruncatedSeries.zero(order)
+        total = zero if modulus is None else zero.reduce(modulus)
+        for c, term in zip(scalars, terms):
+            total = total + c * term
+        return total
+
+    @given(st.integers(1, 12), st.sampled_from([None] + MODULI), st.data())
+    def test_matches_the_sum_of_scalar_products(self, order, m, data):
+        count = data.draw(st.integers(0, 5))
+        terms = [TruncatedSeries(order, data.draw(coefficient_lists(order))) for _ in range(count)]
+        if m is not None:
+            terms = [term.reduce(m) for term in terms]
+        scalars = data.draw(
+            st.lists(st.one_of(st.just(0), wide_ints), min_size=count, max_size=count)
+        )
+        got = TruncatedSeries.combination(order, m, scalars, terms)
+        expected = self.scalar_products(order, m, scalars, terms)
+        assert got == expected
+        assert got.modulus == m
+
+    @pytest.mark.parametrize("m", [None, 9])
+    def test_no_surviving_term_is_zero_in_the_ring(self, m):
+        f = TruncatedSeries(4, [1, 2, 3, 4])
+        terms = [f, f] if m is None else [f.reduce(m), f.reduce(m)]
+        for scalars in ([], [0, 0], [0]):
+            got = TruncatedSeries.combination(4, m, scalars, terms)
+            assert got == TruncatedSeries.zero(4) and got.modulus == m
+        # terms survive the scalars but cancel mod m, or over Z
+        got = TruncatedSeries.combination(4, m, [3, -3], terms)
+        assert got.is_zero and got.modulus == m
+        if m is not None:
+            got = TruncatedSeries.combination(4, m, [9, 18], terms)
+            assert got.is_zero and got.modulus == m
+
+    def test_zip_stops_at_the_shorter_input(self):
+        f = TruncatedSeries(3, [1, 1, 1])
+        assert TruncatedSeries.combination(3, None, [2, 5, 7], [f]) == 2 * f
+        assert TruncatedSeries.combination(3, None, [2], [f, f, f]) == 2 * f
+
+    def test_terms_outside_the_ring_rejected(self):
+        f = TruncatedSeries(4, [1, 2])
+        with pytest.raises(ValueError, match="order mismatch"):
+            TruncatedSeries.combination(5, None, [1], [f])
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            TruncatedSeries.combination(4, 9, [1], [f])
+        with pytest.raises(ValueError, match="scalars must be integers"):
+            TruncatedSeries.combination(4, None, [1.5], [f])
+
+
 class TestRingAxioms:
     def test_seeded_random_triples(self):
         # at least 1000 random triples across orders 1..16, all axioms exact
