@@ -23,18 +23,17 @@ ring homomorphisms.  t^n has skeletal filtration 2n, so the filtration cut
 at 2p+3 that the comparison needs is truncation at order p+2.  The unknown
 terms of psi^p lie in filtration >= 2p+3, so they vanish at that order and
 are not modelled.  The brute force checks its arguments once per call and
-then calls unchecked cores that take S and compute only the t^(p+1)
-coefficient.
+then, per trial, expands each route once from S, as the public routes do:
+``_lhs`` on the left and ``psi_apply`` on the right.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import mul
 from typing import Mapping
 
-from .adams import _psi_rows, psi_apply
+from .adams import psi_apply
 from .primes import is_prime
 from .series import TruncatedSeries
 
@@ -183,29 +182,13 @@ def _pullback(p: int, f: DegreeMapModel) -> TruncatedSeries:
     return TruncatedSeries._trusted(n, [c % m for c in coeffs] + [0] * (n - len(coeffs)), m)
 
 
-def _lhs_factors(
-    p: int, epsilon: Sign, s: TruncatedSeries
-) -> tuple[TruncatedSeries, TruncatedSeries]:
-    # S^p + 2*epsilon*p*S^((p+1)/2) = S^((p+1)/2) * (S^((p-1)/2) + 2*epsilon*p)
-    lower = s ** ((p - 1) // 2)
-    return lower * s, lower + 2 * epsilon * p
+def _lhs(p: int, epsilon: Sign, s: TruncatedSeries) -> TruncatedSeries:
+    """S^p + 2*epsilon*p*S^((p+1)/2), unchecked: S is the pullback mod p^2 at order p+2.
 
-
-def _psi_then_pullback_top(p: int, epsilon: Sign, s: TruncatedSeries) -> int:
-    """The t^(p+1) coefficient of psi_then_pullback, from S, unchecked: one dot product."""
-    middle, rest = _lhs_factors(p, epsilon, s)
-    return sum(map(mul, middle.coeffs, reversed(rest.coeffs))) % s.modulus
-
-
-def _pullback_then_psi_top(p: int, s: TruncatedSeries) -> int:
-    """The t^(p+1) coefficient of pullback_then_psi, from S, unchecked.
-
-    psi^p is additive, so this is the sum of S_j times the t^(p+1)
-    coefficient of g^j, one column of the cached table of powers of the
-    generator image g.
+    S is divisible by t^2, so S^p vanishes at that order and S^((p+1)/2)
+    is t^(p+1) times a power of S's unit taken at order 1.
     """
-    rows = _psi_rows(p, p + 2, s.modulus)
-    return sum([c * row.coeffs[p + 1] for c, row in zip(s.coeffs[1:], rows)]) % s.modulus
+    return s**p + s ** ((p + 1) // 2) * (2 * epsilon * p)
 
 
 def psi_then_pullback(p: int, epsilon: Sign, f: DegreeMapModel) -> TruncatedSeries:
@@ -217,8 +200,7 @@ def psi_then_pullback(p: int, epsilon: Sign, f: DegreeMapModel) -> TruncatedSeri
     check_sign(epsilon)
     check_odd_prime(p)
     check_degree_prime_to(f.degree, p)
-    middle, rest = _lhs_factors(p, epsilon, _pullback(p, f))
-    return middle * rest
+    return _lhs(p, epsilon, _pullback(p, f))
 
 
 def pullback_then_psi(p: int, f: DegreeMapModel) -> TruncatedSeries:

@@ -18,12 +18,13 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+# the brute force looks psi_apply up in genus, where bench/spans.py traces it
+from . import genus as _genus
 from .genus import (
     RectorInvariant,
     Sign,
-    _psi_then_pullback_top,
+    _lhs,
     _pullback,
-    _pullback_then_psi_top,
     check_degree,
     check_degree_prime_to,
     check_odd_prime,
@@ -32,7 +33,7 @@ from .genus import (
     sign_to_str,
 )
 # unused here but bound: bench/spans.py traces calls through obstruction.psi_then_pullback
-# and obstruction.pullback_then_psi, and the brute force calls their unchecked cores
+# and obstruction.pullback_then_psi; the brute force calls _lhs and psi_apply instead
 from .genus import psi_then_pullback, pullback_then_psi  # noqa: F401
 # is_prime is unused here but stays bound: bench/spans.py traces calls through obstruction.is_prime
 from .primes import distinct_odd_prime_factors, is_prime, odd_primes_upto  # noqa: F401
@@ -82,19 +83,19 @@ def compatible_bruteforce(
     reproducible bit for bit.
 
     The arguments are checked once per call.  Each trial then builds the
-    map's pullback S mod p^2 once and computes only the two compared
-    coefficients, the t^(p+1) coefficients of ``psi_then_pullback`` and
-    ``pullback_then_psi``.
+    map's pullback S mod p^2 once and expands each route from it with the
+    unchecked functions the public routes use: ``_lhs`` for
+    ``psi_then_pullback`` and ``psi_apply`` for ``pullback_then_psi``.
     """
     check_sign(epsilon)
     check_odd_prime(p)
     check_degree_prime_to(k, p)
-    if not isinstance(trials, int) or trials < 1:
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     rng = random.Random(f"{seed}:{p}:{k}")
     for _ in range(trials):
         s = _pullback(p, random_degree_map(rng, k, p + 2))
-        if _psi_then_pullback_top(p, epsilon, s) != _pullback_then_psi_top(p, s):
+        if _lhs(p, epsilon, s).coeffs[p + 1] != _genus.psi_apply(p, s).coeffs[p + 1]:
             return False
     return True
 

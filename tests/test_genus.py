@@ -117,7 +117,7 @@ class TestPsiThenPullback:
         assert got.modulus == 9
         assert got == TruncatedSeries(5, [0, 0, 0, 0, 3])
 
-    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 31, 101])
     @pytest.mark.parametrize("k", [1, 2, 3, -5, 12])
     @pytest.mark.parametrize("epsilon", [1, -1])
     def test_reduced_form_is_the_sign_weighted_power(self, p, k, epsilon):

@@ -139,6 +139,8 @@ class TestCompatibleBruteforce:
             compatible_bruteforce(3, 1, 3)
         with pytest.raises(ValueError):
             compatible_bruteforce(3, 1, 1, trials=0)
+        with pytest.raises(ValueError):
+            compatible_bruteforce(3, 1, 1, trials=True)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_same_verdict_as_the_exact_reference(self, p):
