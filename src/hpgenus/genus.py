@@ -144,7 +144,7 @@ class RectorInvariant:
     def from_json_dict(cls, data: Mapping) -> "RectorInvariant":
         try:
             default = sign_from_str(data["default"])
-            exceptions = {int(p): sign_from_str(s) for p, s in data.get("exceptions", {}).items()}
+            exceptions = [(int(p), sign_from_str(s)) for p, s in data.get("exceptions", {}).items()]
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed genus document: {data!r}") from exc
         return cls(default, exceptions)

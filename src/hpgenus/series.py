@@ -101,13 +101,12 @@ def _mul(a: Sequence[int], b: Sequence[int], n: int, modulus: Optional[int] = No
     that one addition settles every borrow a negative coefficient makes in
     the slot above it.
 
-    The low zero slots of each factor are shifted out before the multiply,
-    so a product of series divisible by t^i and t^j costs a product of
-    length n - i - j.  Passing the same sequence twice squares one int.
+    Either way it is one path: pack both factors, multiply once, read back
+    the low n slots.  Passing the same sequence twice squares one int.
     """
     if modulus is None:
-        # every product coefficient is a sum of at most n terms of size at
-        # most top, so it fits in half a slot, and so does every input
+        # a product coefficient is a sum of at most n terms of size at most
+        # top: it fits in half a slot, and if top > 0 so does every input
         top = max(map(abs, a)) * max(map(abs, b))
         if not top:
             return [0] * n
@@ -116,25 +115,11 @@ def _mul(a: Sequence[int], b: Sequence[int], n: int, modulus: Optional[int] = No
         offset = int.from_bytes(half.to_bytes(size, "little") * n, "little")
         x = _pack([c + half for c in a], size, code) - offset
         y = x if b is a else _pack([c + half for c in b], size, code) - offset
-    else:
-        size, code = _residue_slot(n, modulus)
-        x = _pack(a, size, code)
-        y = x if b is a else _pack(b, size, code)
-    if not x or not y:
-        return [0] * n
-    bits = 8 * size
-    shift_x = ((x & -x).bit_length() - 1) // bits
-    shift_y = ((y & -y).bit_length() - 1) // bits
-    low = shift_x + shift_y
-    if low >= n:
-        return [0] * n
-    x >>= bits * shift_x
-    product = x * x if b is a else x * (y >> (bits * shift_y))
-    k = n - low
-    if modulus is None:
-        top_slots = _slots(product + (offset >> (bits * low)), size, code, k)
-        return [0] * low + [c - half for c in top_slots]
-    return [0] * low + [c % modulus for c in _slots(product, size, code, k)]
+        return [c - half for c in _slots(x * y + offset, size, code, n)]
+    size, code = _residue_slot(n, modulus)
+    x = _pack(a, size, code)
+    y = x if b is a else _pack(b, size, code)
+    return [c % modulus for c in _slots(x * y, size, code, n)]
 
 
 def _require_ring(order: int, modulus: Optional[int], other: "TruncatedSeries") -> None:

@@ -199,6 +199,16 @@ class TestAdmissible:
         assert code == 2
         assert "Obstructed" in out
 
+    def test_genus_file_with_duplicate_prime_exits_one(self, capsys, tmp_path):
+        doc = {"default": "+1", "exceptions": {"3": "-1", "03": "+1"}}
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "admissible", "--degree", "1", "--genus-file", str(path), "--primes", "3,5"
+        )
+        assert code == 1
+        assert "duplicate exception for prime 3" in err
+
     def test_missing_genus_file_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

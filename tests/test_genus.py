@@ -82,6 +82,10 @@ class TestRectorInvariant:
             RectorInvariant.from_json_dict({"exceptions": {}})
         with pytest.raises(ValueError):
             RectorInvariant.from_json_dict({"default": "maybe"})
+        with pytest.raises(ValueError, match="duplicate exception for prime 3"):
+            RectorInvariant.from_json_dict(
+                {"default": "+1", "exceptions": {"3": "-1", "03": "+1"}}
+            )
 
 
 class TestDegreeMapModel:

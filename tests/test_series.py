@@ -285,6 +285,10 @@ class TestKernel:
         assert _mul([0, 0, 0, 5, 0, 0, 0], [0, 0, 0, 0, 2, 0, 0], 7) == [0] * 7
         assert _mul([0, 0, -3, 1], [0, 7, 0, 0], 4) == [0, 0, 0, -21]
         assert _mul([0, 0, 0], [1, 2, 3], 3, 9) == [0, 0, 0]
+        assert _mul([1, 2, 3], [0, 0, 0], 3, 9) == [0, 0, 0]
+        # an all-zero integer factor must not size the slot for a zero product
+        assert _mul([0] * 4, [2**70, -5, 3, 1], 4) == [0] * 4
+        assert _mul([2**70, -5, 3, 1], [0] * 4, 4) == [0] * 4
 
     @given(st.integers(1, 12), st.sampled_from(MODULI), st.data())
     def test_residue_products_match_schoolbook(self, order, m, data):
