@@ -170,6 +170,14 @@ class DegreeMapModel:
                 raise ValueError(f"higher coefficients must be integers, got {c!r}")
         object.__setattr__(self, "higher", higher)
 
+    @classmethod
+    def _trusted(cls, degree: int, higher: tuple[int, ...]) -> "DegreeMapModel":
+        # a checked degree and a tuple of drawn ints: nothing is validated again
+        model = object.__new__(cls)
+        object.__setattr__(model, "degree", degree)
+        object.__setattr__(model, "higher", higher)
+        return model
+
     def as_series(self, order: int) -> TruncatedSeries:
         """degree * t^2 plus the higher terms, truncated to the given order."""
         return TruncatedSeries(order, ((0, 0, self.degree) + self.higher)[:order])
@@ -186,7 +194,7 @@ def _lhs(p: int, epsilon: Sign, s: TruncatedSeries) -> TruncatedSeries:
     """S^p + 2*epsilon*p*S^((p+1)/2), unchecked: S is the pullback mod p^2 at order p+2.
 
     S is divisible by t^2, so S^p vanishes at that order and S^((p+1)/2)
-    is t^(p+1) times a power of S's unit taken at order 1.
+    is t^(p+1) times one ``pow`` of S's unit coefficient mod p^2.
     """
     return s**p + s ** ((p + 1) // 2) * (2 * epsilon * p)
 
@@ -238,10 +246,11 @@ def random_degree_map(rng: random.Random, degree: int, order: int) -> DegreeMapM
     called order - 3 times, and rng is left in the same state, but the words
     are drawn in batches, one ``getrandbits`` call per batch.
     """
+    check_degree(degree)
     higher: list[int] = []
     need = order - 3
     while need > 0:
         words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
         higher += [v - DRAW_BOUND for v in words[3::4].translate(_TOP_BITS, _REJECTED)]
         need = order - 3 - len(higher)
-    return DegreeMapModel(degree, tuple(higher))
+    return DegreeMapModel._trusted(degree, tuple(higher))

@@ -10,6 +10,8 @@ probabilistic verdict anywhere; at or above the ceiling it raises
 
 from __future__ import annotations
 
+import math
+
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 #: The least composite that passes Miller-Rabin to all thirteen bases; the test
@@ -54,7 +56,7 @@ def odd_primes_upto(bound: int) -> list[int]:
         return []
     sieve = bytearray((1,)) * (bound + 1)
     sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(bound**0.5) + 1):
+    for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [n for n in range(3, bound + 1, 2) if sieve[n]]

@@ -256,12 +256,15 @@ class TruncatedSeries:
         if exponent == 0:
             return self._like((1,) + (0,) * (n - 1))
         # self = t^v * u, so self^e = t^(v e) * u^e, and u^e is only needed
-        # below t^(n - v e): the binary powering runs at that order
+        # below t^(n - v e): one pow of u_0 at order 1, else binary powering
         v = next((i for i, c in enumerate(self.coeffs) if c), n)
         low = v * exponent
         if low >= n:
             return TruncatedSeries._trusted(n, (0,) * n, m)
         k = n - low
+        if k == 1:
+            unit = pow(self.coeffs[v], exponent, m)  # u_0**e when m is None
+            return TruncatedSeries._trusted(n, (0,) * low + (unit,), m)
         result = None
         base = self.coeffs[v : v + k]
         while exponent:

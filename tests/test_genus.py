@@ -185,8 +185,20 @@ class TestRandomModels:
         for seed in range(300):
             rng, reference = random.Random(seed), random.Random(seed)
             f = random_degree_map(rng, 1, count + 3)
-            assert list(f.higher) == [reference.randrange(-9, 10) for _ in range(count)], seed
+            expected = [reference.randrange(-9, 10) for _ in range(count)]
+            assert list(f.higher) == expected, seed
+            # the trusted model is the model the checked constructor builds
+            validated = DegreeMapModel(1, tuple(expected))
+            assert f == validated and hash(f) == hash(validated), seed
             assert rng.getstate() == reference.getstate(), seed
+
+    @pytest.mark.parametrize("degree", [0, True])
+    def test_bad_degree_is_rejected_before_the_draw(self, degree):
+        rng = random.Random("bad-degree")
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="degree"):
+            random_degree_map(rng, degree, 9)
+        assert rng.getstate() == state
 
 
 class TestReductionStability:

@@ -17,6 +17,13 @@ def test_odd_primes_upto_agrees_with_trial_division():
         assert odd_primes_upto(bound) == [q for q in odd_primes if q <= bound], bound
 
 
+@pytest.mark.parametrize("bound", [b + d for b in (9, 961, 1369, 10201) for d in (-1, 0, 1)])
+def test_odd_primes_upto_at_prime_squares(bound):
+    # the sieve's loop ends at isqrt(bound), exactly on a prime square
+    expected = [n for n in range(3, bound + 1, 2) if trial_division_is_prime(n)]
+    assert odd_primes_upto(bound) == expected
+
+
 @pytest.mark.parametrize("value", [True, False, 7.0, "7", None])
 def test_non_integers_and_bools_are_not_prime(value):
     assert is_prime(value) is False

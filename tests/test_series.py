@@ -142,6 +142,29 @@ class TestPow:
             expected = expected * f
         assert f**e == expected
 
+    #: (v, e, n) for t^v * (c - 5t + 3t^2) ** e at order n: v*e = n-1 leaves one
+    #: slot, powered by pow; v*e = n-2 leaves two, powered by the kernel; then
+    #: e = 0, and v*e >= n, where the power is zero.
+    shapes = [(v, e, v * e + slots) for v in (1, 2, 3) for e in (1, 2, 31, 200) for slots in (1, 2)]
+    shapes += [(2, 0, 5), (3, 2, 6), (2, 31, 40)]
+
+    #: (c, m): a negative unit and one above 2^64 over Z; mod 961 a unit and
+    #: the non-unit 31; mod the prime 2^32 + 15 a unit and c = m, which
+    #: reduces to 0 and so raises the valuation.
+    bases = [(-1, None), (2**64 + 13, None), (5, 961), (31, 961)]
+    bases += [(3, 2**32 + 15), (2**32 + 15, 2**32 + 15)]
+
+    @pytest.mark.parametrize("c,m", bases)
+    @pytest.mark.parametrize("v,e,n", shapes)
+    def test_both_sides_of_the_one_slot_boundary(self, v, e, n, c, m):
+        a = ([0] * v + [c, -5, 3])[:n]
+        f, expected = TruncatedSeries(n, a), schoolbook_pow(a, e, n)
+        if m is not None:
+            f, expected = f.reduce(m), [x % m for x in expected]
+        power = f**e
+        assert power.modulus == m
+        assert list(power.coeffs) == expected
+
 
 class TestCompose:
     def test_square_substitution(self):
