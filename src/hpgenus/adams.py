@@ -7,8 +7,9 @@ so the endomorphism laws are structural rather than tabulated.
 
 ``psi_apply(r, f)`` returns a series in f's ring, by one path for every
 ring: the sum of f's coefficients times the powers of the generator image,
-read off a bounded cache of those powers in f's ring.  A residue series mod
-m gets the powers reduced mod m; reduction commutes with substitution, so
+read off a bounded cache of those powers in f's ring, where the image is
+powered too: mod m, 1 + t is reduced before it is raised to the r-th power,
+so no coefficient reaches m.  Reduction commutes with substitution, so
 ``psi_apply(r, f.reduce(m)) == psi_apply(r, f).reduce(m)``.
 """
 
@@ -29,27 +30,21 @@ def _check_index(r: int) -> None:
 def psi_generator(r: int, order: int) -> TruncatedSeries:
     """The image of the generator under psi^r: (1 + t)^r - 1, truncated.
 
-    Binomial coefficients are exact; the constant term is always zero and
-    the t^1 coefficient is r.
+    Powered over the integers, so the binomial coefficients are exact; the
+    constant term is always zero and the t^1 coefficient is r.
     """
     _check_index(r)
-    coeffs = [0]
-    c = 1
-    for n in range(1, min(r, order - 1) + 1):
-        c = c * (r - n + 1) // n  # C(r, n) from C(r, n - 1), exactly
-        coeffs.append(c)
-    return TruncatedSeries(order, coeffs)
+    return TruncatedSeries(order, (1, 1)[:order]) ** r - 1
 
 
 @lru_cache(maxsize=64)
 def _psi_rows(r: int, order: int, modulus: Optional[int]) -> tuple[TruncatedSeries, ...]:
-    # The powers g, g^2, ... of the generator image g, in the ring of the
-    # series they are applied to, up to the first one that is zero: every
-    # higher power is zero too.  Mod p^2, g = (1 + t)^p - 1 is p*t + ... + t^p
-    # and g^3 is zero below t^(p+2), so that table has two rows.
-    g = psi_generator(r, order)
-    if modulus is not None:
-        g = g.reduce(modulus)
+    # The powers g, g^2, ... of the generator image g = (1 + t)^r - 1, in the
+    # ring of the series they are applied to, up to the first one that is
+    # zero: every higher power is zero too.  Mod p^2, g = p*t + ... + t^p and
+    # g^3 is zero below t^(p+2), so that table has two rows of residues.
+    one_plus_t = TruncatedSeries(order, (1, 1)[:order])
+    g = (one_plus_t if modulus is None else one_plus_t.reduce(modulus)) ** r - 1
     rows = []
     power = g
     while not power.is_zero:
@@ -63,10 +58,11 @@ def psi_apply(r: int, f: TruncatedSeries) -> TruncatedSeries:
 
     The value equals ``f.compose(psi_generator(r, f.order))``, reduced mod
     f's modulus when it has one: the sum over j of f_j * g^j, with the
-    powers g^j of the generator image cached per (r, order, modulus).  Over
-    the integers no power vanishes below t^order, so a table holds about
-    order^2 / 2 exact coefficients (about 6 MB at r = 3 and order 400); the
-    cache keeps at most 64 tables.
+    powers g^j of the generator image built in f's ring and cached per
+    (r, order, modulus): mod p^2 at order p+2 a table is two rows of
+    residues.  Over the integers no power vanishes below t^order, so a table
+    holds about order^2 / 2 exact coefficients (about 6 MB at r = 3 and
+    order 400); the cache keeps at most 64 tables.
     """
     _check_index(r)
     if f.coefficient(0) != 0:

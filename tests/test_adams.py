@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +8,7 @@ from hpgenus import adams
 from hpgenus.adams import check_composition, check_frobenius, psi_apply, psi_generator
 from hpgenus.series import TruncatedSeries
 
-from oracles import pascal_binomial, schoolbook_compose
+from oracles import pascal_binomial, schoolbook_compose, schoolbook_mul
 
 
 def reduced_series_st(max_order=16):
@@ -51,8 +52,12 @@ class TestGenerator:
             pascal_binomial(3, n) if n else 0 for n in range(4)
         )
 
-    @pytest.mark.parametrize("r", [1, 2, 5, 12, 31])
-    @pytest.mark.parametrize("order", [1, 2, 8, 40])
+    @pytest.mark.parametrize(
+        "order, r",
+        [(order, r) for order in (1, 2, 8, 40) for r in (1, 2, 5, 12, 31)]
+        # the large-prime benchmark's range, at order r + 3
+        + [(104, 101), (160, 157)],
+    )
     def test_shape(self, r, order):
         g = psi_generator(r, order)
         assert g.order == order
@@ -150,6 +155,49 @@ class TestApply:
             info = adams._psi_rows.cache_info()
             assert info.hits + info.misses == before.hits + before.misses + 1
             assert info.maxsize is not None and 1 <= info.currsize <= info.maxsize
+
+
+def table_oracle(r, order, m):
+    """g, g^2, ... mod m up to the first zero power, g from Pascal's triangle."""
+    g = [0] + [pascal_binomial(r, n) % m for n in range(1, order)]
+    rows = []
+    power = g
+    while any(power):
+        rows.append(tuple(power))
+        power = [c % m for c in schoolbook_mul(power, g, order)]
+    return rows
+
+
+class TestResidueTable:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61])
+    def test_two_rows_mod_p_squared(self, p):
+        rows = adams._psi_rows(p, p + 2, p * p)
+        assert [row.coeffs for row in rows] == table_oracle(p, p + 2, p * p)
+        assert len(rows) == 2
+        assert all(row.modulus == p * p and row.order == p + 2 for row in rows)
+
+    @pytest.mark.parametrize("r", [4, 6, 9, 12])
+    @pytest.mark.parametrize("m", [1, 4, 9, 27])
+    def test_against_pascal(self, r, m):
+        # order 1 is the slice of 1 + t; 4, 9 and 27 divide some C(r, n)
+        for order in sorted({1, 2, r, r + 1, r + 2, 2 * r}):
+            rows = adams._psi_rows(r, order, m)
+            assert [row.coeffs for row in rows] == table_oracle(r, order, m)
+            assert all(row.modulus == m for row in rows)
+
+    def test_cold_build_stays_in_the_ring(self):
+        # the p = 10007 table mod p^2 at order p+2: every intermediate
+        # coefficient stays below p^2, so the build peaks far below the
+        # 9.4 MiB that the exact C(p, n) take as Python ints
+        p = 10007
+        tracemalloc.start()
+        try:
+            rows = adams._psi_rows.__wrapped__(p, p + 2, p * p)  # bypass the cache
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 2
+        assert peak < 4 << 20
 
 
 class TestCompositionLaw:
