@@ -49,6 +49,9 @@ EXIT_INCONSISTENT = 3
 
 #: the most brute-force trials ``--trials`` accepts, on verify-lemma and selftest
 TRIALS_CEILING = 100_000
+#: the largest ``--bound`` admissible and forced-genus accept: the sieve up to it
+#: takes a few seconds and under 200 MB
+BOUND_CEILING = 10**7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,16 +135,16 @@ def _genus_inline(genus: RectorInvariant) -> str:
     return f"{body};{tail}" if body else tail
 
 
-def _check_trials_ceiling(trials: int) -> None:
-    if trials > TRIALS_CEILING:
-        raise ValueError(f"--trials must be at most {TRIALS_CEILING}, got {trials}")
+def _check_ceiling(flag: str, value: int, ceiling: int) -> None:
+    if value > ceiling:
+        raise ValueError(f"{flag} must be at most {ceiling}, got {value}")
 
 
 # -- commands ----------------------------------------------------------------
 
 
 def _cmd_verify_lemma(args) -> int:
-    _check_trials_ceiling(args.trials)
+    _check_ceiling("--trials", args.trials, TRIALS_CEILING)
     p, k, epsilon, seed = args.prime, args.degree, args.epsilon, args.seed
     closed = obstruction.compatible(p, epsilon, k)
     brute = obstruction.compatible_bruteforce(p, epsilon, k, trials=args.trials, seed=seed)
@@ -187,8 +190,11 @@ def _cmd_verify_lemma(args) -> int:
 
 def _cmd_admissible(args) -> int:
     genus = _load_genus(args)
-    primes = args.primes if args.primes is not None else odd_primes_upto(args.bound)
-    verdict = obstruction.admissible(genus, args.degree, primes)
+    if args.primes is not None:
+        verdict = obstruction.admissible(genus, args.degree, args.primes)
+    else:
+        _check_ceiling("--bound", args.bound, BOUND_CEILING)
+        verdict = obstruction._admissible(genus, args.degree, odd_primes_upto(args.bound))
     payload = {
         "command": "admissible",
         "degree": args.degree,
@@ -216,6 +222,7 @@ def _cmd_admissible(args) -> int:
 
 
 def _cmd_forced_genus(args) -> int:
+    _check_ceiling("--bound", args.bound, BOUND_CEILING)
     report = obstruction.forced_genus(args.degree, args.bound)
     payload = {"command": "forced-genus", **report.to_json_dict()}
     forced_text = (
@@ -237,9 +244,10 @@ def _cmd_forced_genus(args) -> int:
 
 
 def _cmd_example_xp(args) -> int:
+    # example_xp checks the prime; the verdict and the symbol take it as checked
     point, witness = obstruction.example_xp(args.prime)
-    verdict = obstruction.admissible(point, witness, [args.prime])
-    symbol = sign_to_str(obstruction.legendre(witness, args.prime))
+    verdict = obstruction._admissible(point, witness, [args.prime])
+    symbol = sign_to_str(obstruction._symbol(witness, args.prime))
     payload = {
         "command": "example-xp",
         "prime": args.prime,
@@ -260,7 +268,7 @@ def _cmd_example_xp(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    _check_trials_ceiling(args.trials)
+    _check_ceiling("--trials", args.trials, TRIALS_CEILING)
     results = selftest.run_all(
         max_prime=args.max_prime, max_degree=args.max_degree, trials=args.trials, seed=args.seed
     )

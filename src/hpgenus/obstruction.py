@@ -36,7 +36,12 @@ from .genus import (
 # and obstruction.pullback_then_psi; the brute force calls _lhs and psi_apply instead
 from .genus import psi_then_pullback, pullback_then_psi  # noqa: F401
 # is_prime is unused here but stays bound: bench/spans.py traces calls through obstruction.is_prime
-from .primes import distinct_odd_prime_factors, is_prime, odd_primes_upto  # noqa: F401
+from .primes import (  # noqa: F401
+    PRIME_TEST_CEILING,
+    distinct_odd_prime_factors,
+    is_prime,
+    odd_primes_upto,
+)
 
 
 # never called: bench/spans.py traces obstruction.random_psi_model, the deleted draw of the w unknown
@@ -142,10 +147,17 @@ def admissible(genus: RectorInvariant, k: int, primes: Iterable[int]) -> Verdict
     """
     check_degree(k)
     tested = sorted(set(primes))
-    if not tested:
-        raise ValueError("no primes to test: the prime set is empty")
     for p in tested:
         check_odd_prime(p)
+    return _admissible(genus, k, tested)
+
+
+def _admissible(genus: RectorInvariant, k: int, tested: list[int]) -> Verdict:
+    # admissible for ascending distinct odd primes (such as odd_primes_upto's), which are
+    # trusted: the degree and the prime set are checked, no prime is tested for primality
+    check_degree(k)
+    if not tested:
+        raise ValueError("no primes to test: the prime set is empty")
     skipped = tuple(p for p in tested if k % p == 0)
     if len(skipped) == len(tested):
         raise ValueError(f"no primes to test: every given prime divides the degree {k}")
@@ -204,8 +216,16 @@ class ForcedGenusReport:
 
 
 def forced_genus(k: int, bound: int) -> ForcedGenusReport:
-    """Which invariants a degree-k map forces at the odd primes up to bound."""
+    """Which invariants a degree-k map forces at the odd primes up to bound.
+
+    |k| must be below ``PRIME_TEST_CEILING``, where every prime factor that
+    Pollard's rho splits off can still be confirmed prime.
+    """
     check_degree(k)
+    if abs(k) >= PRIME_TEST_CEILING:
+        raise ValueError(
+            f"|degree| must be below {PRIME_TEST_CEILING}, the primality test's ceiling, got {k}"
+        )
     if not isinstance(bound, int) or bound < 2:
         raise ValueError(f"bound must be an integer >= 2, got {bound!r}")
     forced = []

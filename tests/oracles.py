@@ -116,3 +116,19 @@ def trial_division_is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def trial_division_odd_prime_factors(n: int) -> list[int]:
+    """The distinct odd primes dividing n, ascending, by trying every d with d * d <= |n|."""
+    n = abs(n)
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return [q for q in out if q != 2]

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hpgenus import adams, cli, selftest
+from hpgenus import adams, cli, genus, obstruction, selftest
 from hpgenus.primes import PRIME_TEST_CEILING
 from hpgenus.selftest import SuiteResult
 
@@ -15,6 +15,20 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_prime_tests(monkeypatch):
+    """Patch is_prime where genus and obstruction look it up; return the list of tested n."""
+    tested = []
+    real = genus.is_prime
+
+    def counting(n):
+        tested.append(n)
+        return real(n)
+
+    monkeypatch.setattr(genus, "is_prime", counting)
+    monkeypatch.setattr(obstruction, "is_prime", counting)
+    return tested
 
 
 def table_to_dict(out):
@@ -154,6 +168,55 @@ class TestTrialsCeiling:
         assert f"at most {cli.TRIALS_CEILING}" in err
 
 
+class TestBoundCeiling:
+    """--bound has one ceiling on admissible and forced-genus, checked before the sieve."""
+
+    ADMISSIBLE = ("admissible", "--degree", "1", "--genus", "default=+1")
+    FORCED_GENUS = ("forced-genus", "--degree", "6")
+
+    def test_admissible_at_the_ceiling(self, capsys, monkeypatch):
+        seen = []
+
+        def small_sieve(bound):
+            seen.append(bound)
+            return [3, 5, 7]
+
+        monkeypatch.setattr(cli, "odd_primes_upto", small_sieve)
+        code, _, _ = run_cli(capsys, *self.ADMISSIBLE, "--bound", str(cli.BOUND_CEILING))
+        assert code == 0
+        assert seen == [cli.BOUND_CEILING]
+
+    def test_forced_genus_at_the_ceiling(self, capsys, monkeypatch):
+        seen = []
+
+        def small_sieve(bound):
+            seen.append(bound)
+            return [3, 5, 7]
+
+        monkeypatch.setattr(obstruction, "odd_primes_upto", small_sieve)
+        code, out, _ = run_cli(
+            capsys, *self.FORCED_GENUS, "--bound", str(cli.BOUND_CEILING), "--format", "json"
+        )
+        assert code == 0
+        assert seen == [cli.BOUND_CEILING]
+        assert json.loads(out)["bound"] == cli.BOUND_CEILING
+
+    @pytest.mark.parametrize("command", [ADMISSIBLE, FORCED_GENUS])
+    @pytest.mark.parametrize("bound", [cli.BOUND_CEILING + 1, 10**11])
+    def test_above_the_ceiling_exits_one_before_the_sieve(
+        self, capsys, monkeypatch, command, bound
+    ):
+        def never(bound):
+            raise AssertionError("the sieve ran")
+
+        monkeypatch.setattr(cli, "odd_primes_upto", never)
+        monkeypatch.setattr(obstruction, "odd_primes_upto", never)
+        code, out, err = run_cli(capsys, *command, "--bound", str(bound))
+        assert code == 1
+        assert out == ""
+        assert f"--bound must be at most {cli.BOUND_CEILING}" in err
+
+
 class TestAdmissible:
     def test_all_plus_degree_one(self, capsys):
         code, out, _ = run_cli(
@@ -267,6 +330,17 @@ class TestAdmissible:
         assert out == ""
         assert str(PRIME_TEST_CEILING) in err
 
+    def test_bound_tests_only_the_spec_primes(self, capsys, monkeypatch):
+        # the sieve's primes go straight to the verdict; 997 is tested once, as a genus key
+        tested = count_prime_tests(monkeypatch)
+        code, out, _ = run_cli(
+            capsys, "admissible", "--degree", "1", "--genus", "997:-1;default=+1",
+            "--bound", "1000",
+        )
+        assert code == 2
+        assert table_to_dict(out)["prime"] == "997"
+        assert tested == [997]
+
     def test_json_verdict_shape(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -310,6 +384,27 @@ class TestForcedGenus:
         code, _, err = run_cli(capsys, "forced-genus", "--degree", "0", "--bound", "10")
         assert code == 1
 
+    @pytest.mark.parametrize("degree", [PRIME_TEST_CEILING, -PRIME_TEST_CEILING, 10**30])
+    def test_degree_at_or_above_the_prime_test_ceiling_exits_one(self, capsys, degree):
+        code, out, err = run_cli(capsys, "forced-genus", f"--degree={degree}", "--bound", "10")
+        assert code == 1
+        assert out == ""
+        assert str(PRIME_TEST_CEILING) in err
+
+    def test_large_prime_degree_answers_promptly(self):
+        # 10^24 + 7 is prime: trial division up to its root would not finish
+        proc = subprocess.run(
+            [sys.executable, "-m", "hpgenus", "forced-genus", "--degree", str(10**24 + 7),
+             "--bound", "10", "--format", "json"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert doc["free_count_total"] == 2
+        assert doc["forced"] == {"3": "-1", "5": "-1", "7": "+1"}
+
 
 class TestExampleXp:
     def test_seven(self, capsys):
@@ -328,6 +423,13 @@ class TestExampleXp:
     def test_composite_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "example-xp", "--prime", "9")
         assert code == 1
+
+    def test_the_prime_is_tested_once(self, capsys, monkeypatch):
+        tested = count_prime_tests(monkeypatch)
+        code, out, _ = run_cli(capsys, "example-xp", "--prime", "1000003")
+        assert code == 0
+        assert table_to_dict(out)["witness symbol"] == "-1"
+        assert tested.count(1000003) == 1
 
 
 class TestSelftest:

@@ -19,6 +19,7 @@ from hpgenus.genus import (
 )
 from hpgenus.obstruction import (
     Verdict,
+    _admissible,
     admissible,
     compatible,
     compatible_bruteforce,
@@ -26,7 +27,7 @@ from hpgenus.obstruction import (
     forced_genus,
     legendre,
 )
-from hpgenus.primes import is_prime, odd_primes_upto
+from hpgenus.primes import PRIME_TEST_CEILING, is_prime, odd_primes_upto
 
 from oracles import (
     compatible_bruteforce_reference,
@@ -230,6 +231,21 @@ class TestAdmissible:
             "skipped": [],
         }
 
+    @pytest.mark.parametrize("k", [1, 2, -3, 15, 105, 10**6 + 1])
+    def test_core_on_the_sieve_agrees_with_the_public_function(self, k):
+        point = RectorInvariant(1, {3: -1, 11: -1, 97: -1})
+        primes = odd_primes_upto(200)
+        assert _admissible(point, k, primes) == admissible(point, k, reversed(primes))
+
+    def test_core_keeps_the_degree_and_prime_set_checks(self):
+        point = RectorInvariant(1, {})
+        with pytest.raises(ValueError, match="non-zero integer"):
+            _admissible(point, 0, [3])
+        with pytest.raises(ValueError, match="empty"):
+            _admissible(point, 1, [])
+        with pytest.raises(ValueError, match="divides the degree"):
+            _admissible(point, 15, [3, 5])
+
     def test_square_degrees_never_obstruct_all_plus(self):
         point = RectorInvariant(1, {})
         for m in (1, 2, 3, 6, 10):
@@ -279,6 +295,23 @@ class TestForcedGenus:
     def test_small_bound_rejected(self):
         with pytest.raises(ValueError):
             forced_genus(1, 1)
+
+    @pytest.mark.parametrize("k", [PRIME_TEST_CEILING, -PRIME_TEST_CEILING, 2**100])
+    def test_degree_at_or_above_the_prime_test_ceiling_rejected_before_the_sieve(
+        self, k, monkeypatch
+    ):
+        def never(bound):
+            raise AssertionError("the sieve ran")
+
+        monkeypatch.setattr(hpgenus.obstruction, "odd_primes_upto", never)
+        with pytest.raises(ValueError, match=str(PRIME_TEST_CEILING)):
+            forced_genus(k, 10)
+
+    def test_degree_just_below_the_ceiling(self):
+        # 3317044064679887385961980 = 2^2 * 3^4 * 5 * 127 * 18778597 * 858557454841
+        report = forced_genus(-(PRIME_TEST_CEILING - 1), 10)
+        assert report.free == (2, 3, 5)
+        assert report.free_count_total == 6
 
     def test_json_shape(self):
         doc = forced_genus(6, 10).to_json_dict()

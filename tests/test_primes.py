@@ -1,8 +1,15 @@
+import random
+
 import pytest
 
-from hpgenus.primes import PRIME_TEST_CEILING, is_prime, odd_primes_upto
+from hpgenus.primes import (
+    PRIME_TEST_CEILING,
+    distinct_odd_prime_factors,
+    is_prime,
+    odd_primes_upto,
+)
 
-from oracles import trial_division_is_prime
+from oracles import trial_division_is_prime, trial_division_odd_prime_factors
 
 
 def test_agrees_with_trial_division_below_two_hundred_thousand():
@@ -51,3 +58,53 @@ def test_raises_at_and_above_the_ceiling(n):
     with pytest.raises(ValueError, match=str(PRIME_TEST_CEILING)):
         is_prime(n)
 
+
+
+def test_factors_agree_with_trial_division_below_twenty_thousand():
+    for n in range(1, 20_000):
+        expected = trial_division_odd_prime_factors(n)
+        assert distinct_odd_prime_factors(n) == expected, n
+        assert distinct_odd_prime_factors(-n) == expected, -n
+
+
+def test_factors_agree_with_trial_division_on_seeded_draws():
+    rng = random.Random(13)
+    for _ in range(300):
+        n = rng.randint(1, 10**9)
+        assert distinct_odd_prime_factors(n) == trial_division_odd_prime_factors(n), n
+
+
+# two primes near 2^40, checked by trial division in the test below
+_NEAR_2_40 = (1099511627791, 1099511627803)
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (10**24 + 7, [10**24 + 7]),
+        (99991 * 1000003 * 1000033, [99991, 1000003, 1000033]),
+        (561, [3, 11, 17]),  # Carmichael numbers
+        (41041, [7, 11, 13, 41]),
+        (1000003**2, [1000003]),
+        (43**2 * 1000003**3, [43, 1000003]),
+        (_NEAR_2_40[0] * _NEAR_2_40[1], list(_NEAR_2_40)),
+    ],
+)
+def test_hard_cases(n, expected):
+    for sign, twos in ((1, 0), (-1, 5)):
+        assert distinct_odd_prime_factors(sign * 2**twos * n) == expected
+
+
+def test_the_primes_near_two_to_the_forty_are_prime():
+    assert all(trial_division_is_prime(q) for q in _NEAR_2_40)
+
+
+@pytest.mark.parametrize("n", [0, 1.0, "6", None])
+def test_factors_of_zero_and_non_integers_rejected(n):
+    with pytest.raises(ValueError, match="non-zero integer"):
+        distinct_odd_prime_factors(n)
+
+
+def test_a_cofactor_at_the_ceiling_cannot_be_factored():
+    with pytest.raises(ValueError, match=str(PRIME_TEST_CEILING)):
+        distinct_odd_prime_factors(PRIME_TEST_CEILING)
