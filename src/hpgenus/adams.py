@@ -19,12 +19,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .primes import is_prime
-from .series import TruncatedSeries
-
-
-def _check_index(r: int) -> None:
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValueError(f"Adams index must be a positive integer, got {r!r}")
+from .series import TruncatedSeries, check_positive
 
 
 def psi_generator(r: int, order: int) -> TruncatedSeries:
@@ -33,7 +28,7 @@ def psi_generator(r: int, order: int) -> TruncatedSeries:
     Powered over the integers, so the binomial coefficients are exact; the
     constant term is always zero and the t^1 coefficient is r.
     """
-    _check_index(r)
+    check_positive("Adams index", r)
     return TruncatedSeries(order, (1, 1)[:order]) ** r - 1
 
 
@@ -45,12 +40,7 @@ def _psi_rows(r: int, order: int, modulus: Optional[int]) -> tuple[TruncatedSeri
     # g^3 is zero below t^(p+2), so that table has two rows of residues.
     one_plus_t = TruncatedSeries(order, (1, 1)[:order])
     g = (one_plus_t if modulus is None else one_plus_t.reduce(modulus)) ** r - 1
-    rows = []
-    power = g
-    while not power.is_zero:
-        rows.append(power)
-        power = power * g
-    return tuple(rows)
+    return g._powers()
 
 
 def psi_apply(r: int, f: TruncatedSeries) -> TruncatedSeries:
@@ -64,7 +54,7 @@ def psi_apply(r: int, f: TruncatedSeries) -> TruncatedSeries:
     holds about order^2 / 2 exact coefficients (about 6 MB at r = 3 and
     order 400); the cache keeps at most 64 tables.
     """
-    _check_index(r)
+    check_positive("Adams index", r)
     if f.coefficient(0) != 0:
         raise ValueError("psi acts on reduced classes: the constant term must be zero")
     # the coefficients past the last row multiply zero powers
@@ -78,8 +68,8 @@ def check_composition(a: int, b: int, order: int) -> bool:
     This is an identity of the operations, so the result is always True;
     it is exposed as a checkable oracle rather than assumed.
     """
-    _check_index(a)
-    _check_index(b)
+    check_positive("Adams index", a)
+    check_positive("Adams index", b)
     return psi_apply(a, psi_generator(b, order)) == psi_generator(a * b, order)
 
 

@@ -49,6 +49,12 @@ EXIT_INCONSISTENT = 3
 
 #: the most brute-force trials ``--trials`` accepts, on verify-lemma and selftest
 TRIALS_CEILING = 100_000
+#: the largest verify-lemma ``--prime``: 200 trials at the prime below it take about 16 s
+LEMMA_PRIME_CEILING = 10**5
+#: the largest selftest ``--max-prime`` and ``--max-degree``: with the other flags at
+#: their defaults, a sweep at either ceiling takes under 30 s
+MAX_PRIME_CEILING = 101
+MAX_DEGREE_CEILING = 200
 #: the largest ``--bound`` admissible and forced-genus accept: the sieve up to it
 #: takes a few seconds and under 200 MB
 BOUND_CEILING = 10**7
@@ -83,7 +89,7 @@ def parse_genus_spec(spec: str) -> RectorInvariant:
     ``"default=+1"`` or ``"3:-1,7:+1;default=+1"``.
     """
     default = None
-    exceptions: dict[int, int] = {}
+    exceptions: list[tuple[int, int]] = []
     for part in spec.split(";"):
         part = part.strip()
         if not part:
@@ -104,9 +110,7 @@ def parse_genus_spec(spec: str) -> RectorInvariant:
                 prime = int(prime_text)
             except ValueError:
                 raise ValueError(f"bad prime {prime_text!r} in genus spec")
-            if prime in exceptions:
-                raise ValueError(f"duplicate prime {prime} in genus spec")
-            exceptions[prime] = sign_from_str(sign_text.strip())
+            exceptions.append((prime, sign_from_str(sign_text.strip())))
     if default is None:
         raise ValueError(f"genus spec {spec!r} is missing 'default=+1' or 'default=-1'")
     return RectorInvariant(default, exceptions)
@@ -144,6 +148,7 @@ def _check_ceiling(flag: str, value: int, ceiling: int) -> None:
 
 
 def _cmd_verify_lemma(args) -> int:
+    _check_ceiling("--prime", args.prime, LEMMA_PRIME_CEILING)
     _check_ceiling("--trials", args.trials, TRIALS_CEILING)
     p, k, epsilon, seed = args.prime, args.degree, args.epsilon, args.seed
     closed = obstruction.compatible(p, epsilon, k)
@@ -268,6 +273,8 @@ def _cmd_example_xp(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    _check_ceiling("--max-prime", args.max_prime, MAX_PRIME_CEILING)
+    _check_ceiling("--max-degree", args.max_degree, MAX_DEGREE_CEILING)
     _check_ceiling("--trials", args.trials, TRIALS_CEILING)
     results = selftest.run_all(
         max_prime=args.max_prime, max_degree=args.max_degree, trials=args.trials, seed=args.seed
@@ -297,6 +304,15 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("json", "table"), default="table", help="output format"
         )
 
+    def add_trials_and_seed(p):
+        p.add_argument(
+            "--trials",
+            type=int,
+            default=obstruction.TRIALS,
+            help="brute-force trials (default %(default)s)",
+        )
+        p.add_argument("--seed", type=int, default=0, help="randomization seed (default 0)")
+
     p = sub.add_parser(
         "verify-lemma",
         help="check one (prime, degree, sign) triple both ways",
@@ -304,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int, required=True, help="odd prime p")
     p.add_argument("--degree", type=int, required=True, help="non-zero degree coprime to p")
     p.add_argument("--epsilon", type=_sign_arg, required=True, help="genus sign at p: +1 or -1")
-    p.add_argument("--trials", type=int, default=200, help="brute-force trials (default 200)")
-    p.add_argument("--seed", type=int, default=0, help="randomization seed (default 0)")
+    add_trials_and_seed(p)
     add_format(p)
     p.set_defaults(func=_cmd_verify_lemma)
 
@@ -334,12 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_example_xp)
 
     p = sub.add_parser("selftest", help="run the library's property sweeps")
-    p.add_argument("--max-prime", type=int, default=31, help="largest prime to sweep (default 31)")
     p.add_argument(
-        "--max-degree", type=int, default=50, help="largest |degree| to sweep (default 50)"
+        "--max-prime",
+        type=int,
+        default=selftest.MAX_PRIME,
+        help="largest prime to sweep (default %(default)s)",
     )
-    p.add_argument("--trials", type=int, default=200, help="brute-force trials (default 200)")
-    p.add_argument("--seed", type=int, default=0, help="randomization seed (default 0)")
+    p.add_argument(
+        "--max-degree",
+        type=int,
+        default=selftest.MAX_DEGREE,
+        help="largest |degree| to sweep (default %(default)s)",
+    )
+    add_trials_and_seed(p)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

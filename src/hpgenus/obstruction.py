@@ -42,6 +42,10 @@ from .primes import (  # noqa: F401
     is_prime,
     odd_primes_upto,
 )
+from .series import check_positive
+
+#: the default number of brute-force trials per verdict
+TRIALS = 200
 
 
 # never called: bench/spans.py traces obstruction.random_psi_model, the deleted draw of the w unknown
@@ -75,7 +79,7 @@ def compatible(p: int, epsilon: Sign, k: int) -> bool:
 
 
 def compatible_bruteforce(
-    p: int, epsilon: Sign, k: int, trials: int = 200, seed: int = 0
+    p: int, epsilon: Sign, k: int, trials: int = TRIALS, seed: int = 0
 ) -> bool:
     """The same compatibility test, answered by brute-force series expansion.
 
@@ -95,8 +99,7 @@ def compatible_bruteforce(
     check_sign(epsilon)
     check_odd_prime(p)
     check_degree_prime_to(k, p)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    check_positive("trials", trials)
     rng = random.Random(f"{seed}:{p}:{k}")
     for _ in range(trials):
         s = _pullback(p, random_degree_map(rng, k, p + 2))
@@ -145,7 +148,6 @@ def admissible(genus: RectorInvariant, k: int, primes: Iterable[int]) -> Verdict
     that leaves no prime to test (empty, or every prime dividing k) is
     rejected rather than answered vacuously.
     """
-    check_degree(k)
     tested = sorted(set(primes))
     for p in tested:
         check_odd_prime(p)

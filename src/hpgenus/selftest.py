@@ -2,9 +2,9 @@
 
 Each suite runs a batch of checks that must all hold, counts them, and
 records the first counterexample if any check fails.  Sweeps are seeded, so
-two runs with the same parameters see exactly the same inputs.  The sizes of
-the sweeps the CLI does not expose are the module constants below; a suite
-that ran no check does not pass.
+two runs with the same parameters see exactly the same inputs.  The default
+sweep the CLI exposes, and the sizes of the sweeps it does not, are the
+module constants below; a suite that ran no check does not pass.
 """
 
 from __future__ import annotations
@@ -14,9 +14,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .adams import check_composition, check_frobenius, psi_apply, psi_generator
-from .obstruction import compatible, compatible_bruteforce, legendre
+from .obstruction import TRIALS, compatible, compatible_bruteforce, legendre
 from .primes import odd_primes_upto
 from .series import TruncatedSeries
+
+#: the default sweep: odd primes up to MAX_PRIME, degrees 1 <= |k| <= MAX_DEGREE
+MAX_PRIME = 31
+MAX_DEGREE = 50
 
 RING_TRIALS = 1000
 RING_MAX_ORDER = 16
@@ -131,7 +135,7 @@ def adams_law_suite(seed: int = 0) -> SuiteResult:
     return rec
 
 
-def frobenius_suite(max_prime: int = 31, seed: int = 0) -> SuiteResult:
+def frobenius_suite(max_prime: int = MAX_PRIME, seed: int = 0) -> SuiteResult:
     """psi^p(f) = f^p mod p across primes up to max_prime and random f."""
     rec = SuiteResult("frobenius")
     primes = ([2] if max_prime >= 2 else []) + odd_primes_upto(max_prime)
@@ -170,7 +174,7 @@ def legendre_oracle_suite() -> SuiteResult:
 
 
 def lemma_equivalence_suite(
-    max_prime: int = 31, max_degree: int = 50, trials: int = 200, seed: int = 0
+    max_prime: int = MAX_PRIME, max_degree: int = MAX_DEGREE, trials: int = TRIALS, seed: int = 0
 ) -> SuiteResult:
     """Brute-force series verdicts equal the closed-form criterion on a full sweep."""
     rec = SuiteResult("lemma-equivalence")
@@ -192,7 +196,7 @@ def lemma_equivalence_suite(
 
 
 def run_all(
-    max_prime: int = 31, max_degree: int = 50, trials: int = 200, seed: int = 0
+    max_prime: int = MAX_PRIME, max_degree: int = MAX_DEGREE, trials: int = TRIALS, seed: int = 0
 ) -> list[SuiteResult]:
     """Every suite, in a fixed order.
 

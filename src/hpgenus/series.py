@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import lru_cache
 from operator import add
 from typing import Iterable, Optional, Sequence
 
@@ -61,12 +60,6 @@ def _slot(bits: int) -> tuple[int, Optional[str]]:
         if 8 * size >= bits:
             return size, code
     return (bits + 7) // 8, None
-
-
-@lru_cache(maxsize=256)
-def _residue_slot(n: int, modulus: int) -> tuple[int, Optional[str]]:
-    """The slot for sums of up to n products of residues mod modulus."""
-    return _slot((n * (modulus - 1) ** 2).bit_length())
 
 
 def _pack(coeffs: Sequence[int], size: int, code: Optional[str]) -> int:
@@ -116,10 +109,17 @@ def _mul(a: Sequence[int], b: Sequence[int], n: int, modulus: Optional[int] = No
         x = _pack([c + half for c in a], size, code) - offset
         y = x if b is a else _pack([c + half for c in b], size, code) - offset
         return [c - half for c in _slots(x * y + offset, size, code, n)]
-    size, code = _residue_slot(n, modulus)
+    # the slot for sums of up to n products of residues mod modulus
+    size, code = _slot((n * (modulus - 1) ** 2).bit_length())
     x = _pack(a, size, code)
     y = x if b is a else _pack(b, size, code)
     return [c % modulus for c in _slots(x * y, size, code, n)]
+
+
+def check_positive(what: str, value: int) -> None:
+    """Reject anything but a positive int; a bool is not an integer here."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
 
 
 def _require_ring(order: int, modulus: Optional[int], other: "TruncatedSeries") -> None:
@@ -144,8 +144,7 @@ class TruncatedSeries:
     __slots__ = ("order", "coeffs", "modulus")
 
     def __init__(self, order: int, coeffs: Iterable[int] = ()) -> None:
-        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-            raise ValueError(f"order must be a positive integer, got {order!r}")
+        check_positive("order", order)
         coeffs = tuple(coeffs)
         if len(coeffs) > order:
             raise ValueError(
@@ -228,9 +227,7 @@ class TruncatedSeries:
         return self._like([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            return self.__add__(-other)
-        if not isinstance(other, TruncatedSeries):
+        if not isinstance(other, (int, TruncatedSeries)):
             return NotImplemented
         return self.__add__(-other)
 
@@ -299,14 +296,13 @@ class TruncatedSeries:
                 scaled = map(c.__mul__, term.coeffs)
                 acc = list(scaled) if acc is None else list(map(add, acc, scaled))
         if acc is None:
-            zero = cls(order)
-            return zero if modulus is None else zero.reduce(modulus)
+            return cls._trusted(order, (0,) * order, modulus)
         if modulus is not None:
             acc = [c % modulus for c in acc]
         return cls._trusted(order, acc, modulus)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner), by Horner evaluation in the truncated ring.
+        """self(inner): the sum of self's coefficients times the powers of inner.
 
         The inner series must have zero constant term, otherwise the
         substitution is not well defined modulo t^N.
@@ -316,13 +312,23 @@ class TruncatedSeries:
         _require_ring(self.order, self.modulus, inner)
         if inner.coeffs[0] != 0:
             raise ValueError("inner series of a composition must have zero constant term")
-        n, m = self.order, self.modulus
-        acc = [self.coeffs[-1]] + [0] * (n - 1)
-        for c in self.coeffs[-2::-1]:
-            # inner has no constant term, so neither has acc * inner
-            acc = _mul(acc, inner.coeffs, n, m)
-            acc[0] = c
-        return TruncatedSeries._trusted(n, acc, m)
+        # the coefficients past the last non-zero power multiply zero
+        powers = inner._powers()
+        return (
+            TruncatedSeries.combination(self.order, self.modulus, self.coeffs[1:], powers)
+            + self.coeffs[0]
+        )
+
+    def _powers(self) -> tuple["TruncatedSeries", ...]:
+        # self, self^2, ... up to the first zero power, for a series with zero
+        # constant term: self^j vanishes below t^j, so every later power is
+        # zero too and there are fewer than ``order`` of them
+        powers = []
+        power = self
+        while not power.is_zero:
+            powers.append(power)
+            power = power * self
+        return tuple(powers)
 
     def reduce(self, modulus: int) -> "TruncatedSeries":
         """This series in (Z/modulus)[t]/(t^N), with canonical residues in [0, modulus).
@@ -332,8 +338,7 @@ class TruncatedSeries:
         A residue series can only be reduced further by a divisor of its
         modulus.
         """
-        if not isinstance(modulus, int) or modulus < 1:
-            raise ValueError(f"modulus must be a positive integer, got {modulus!r}")
+        check_positive("modulus", modulus)
         if self.modulus is not None:
             if self.modulus % modulus:
                 raise ValueError(f"cannot reduce a series mod {self.modulus} to mod {modulus}")

@@ -15,13 +15,11 @@ from hpgenus.genus import (
     pullback_then_psi,
     random_degree_map,
 )
-from hpgenus.obstruction import admissible, compatible, example_xp, forced_genus, legendre
+from hpgenus.obstruction import TRIALS, admissible, compatible, example_xp, forced_genus, legendre
 from hpgenus.primes import odd_primes_upto
+from hpgenus.selftest import MAX_DEGREE, MAX_PRIME
 
 SEED = 0
-MAX_PRIME = 31
-MAX_DEGREE = 50
-TRIALS = 200
 
 
 def _report(number, description, failures, started=None):

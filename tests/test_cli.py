@@ -7,6 +7,7 @@ import pytest
 from hpgenus import adams, cli, genus, obstruction, selftest
 from hpgenus.primes import PRIME_TEST_CEILING
 from hpgenus.selftest import SuiteResult
+from hpgenus.series import TruncatedSeries
 
 from oracles import legendre_by_enumeration
 
@@ -217,6 +218,63 @@ class TestBoundCeiling:
         assert f"--bound must be at most {cli.BOUND_CEILING}" in err
 
 
+class TestSweepCeilings:
+    """verify-lemma --prime, selftest --max-prime, --max-degree: each a ceiling, checked first."""
+
+    LEMMA = ("verify-lemma", "--degree", "2", "--epsilon", "+1")
+    SELFTEST_FLAGS = [
+        ("--max-prime", "max_prime", cli.MAX_PRIME_CEILING),
+        ("--max-degree", "max_degree", cli.MAX_DEGREE_CEILING),
+    ]
+
+    def test_verify_lemma_at_the_ceiling(self, capsys, monkeypatch):
+        # stand-ins for the work, so the accepted value runs no expansion at that order
+        monkeypatch.setattr(cli.obstruction, "compatible", lambda p, e, k: True)
+        monkeypatch.setattr(cli.obstruction, "compatible_bruteforce", lambda p, e, k, **kw: True)
+        for route in ("psi_then_pullback", "pullback_then_psi"):
+            monkeypatch.setattr(cli, route, lambda p, *rest: TruncatedSeries(p + 2))
+        code, out, _ = run_cli(
+            capsys, *self.LEMMA, "--prime", str(cli.LEMMA_PRIME_CEILING), "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["prime"] == cli.LEMMA_PRIME_CEILING
+
+    @pytest.mark.parametrize("prime", [cli.LEMMA_PRIME_CEILING + 1, 1000003])
+    def test_verify_lemma_above_the_ceiling_exits_one(self, capsys, monkeypatch, prime):
+        def never(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli.obstruction, "compatible", never)
+        code, out, err = run_cli(capsys, *self.LEMMA, "--prime", str(prime))
+        assert code == 1
+        assert out == ""
+        assert f"--prime must be at most {cli.LEMMA_PRIME_CEILING}" in err
+
+    @pytest.mark.parametrize("flag, key, ceiling", SELFTEST_FLAGS)
+    def test_selftest_at_the_ceiling(self, capsys, monkeypatch, flag, key, ceiling):
+        seen = []
+
+        def passing(**kwargs):
+            seen.append(kwargs[key])
+            return [SuiteResult("lemma-equivalence", 1, 0)]
+
+        monkeypatch.setattr(selftest, "run_all", passing)
+        code, _, _ = run_cli(capsys, "selftest", flag, str(ceiling))
+        assert code == 0
+        assert seen == [ceiling]
+
+    @pytest.mark.parametrize("flag, key, ceiling", SELFTEST_FLAGS)
+    def test_selftest_above_the_ceiling_exits_one(self, capsys, monkeypatch, flag, key, ceiling):
+        def never(**kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(selftest, "run_all", never)
+        code, out, err = run_cli(capsys, "selftest", flag, str(ceiling + 1))
+        assert code == 1
+        assert out == ""
+        assert f"{flag} must be at most {ceiling}" in err
+
+
 class TestAdmissible:
     def test_all_plus_degree_one(self, capsys):
         code, out, _ = run_cli(
@@ -266,11 +324,13 @@ class TestAdmissible:
         doc = {"default": "+1", "exceptions": {"3": "-1", "03": "+1"}}
         path = tmp_path / "dup.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run_cli(
-            capsys, "admissible", "--degree", "1", "--genus-file", str(path), "--primes", "3,5"
-        )
-        assert code == 1
-        assert "duplicate exception for prime 3" in err
+        # an inline spec reaches the same check, in RectorInvariant
+        for source in (("--genus-file", str(path)), ("--genus", "3:-1,3:+1;default=+1")):
+            code, _, err = run_cli(
+                capsys, "admissible", "--degree", "1", *source, "--primes", "3,5"
+            )
+            assert code == 1
+            assert "duplicate exception for prime 3" in err
 
     def test_missing_genus_file_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(

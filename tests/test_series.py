@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hpgenus.series import TruncatedSeries, _mul
 
@@ -236,6 +236,8 @@ class TestReduce:
             f.reduce(0)
         with pytest.raises(ValueError):
             f.reduce(-5)
+        with pytest.raises(ValueError, match="positive integer"):
+            f.reduce(True)
 
     def test_modulus_only(self):
         f = TruncatedSeries(4, [-1, 5, 9, -10])
@@ -333,6 +335,8 @@ class TestKernel:
         assert list(power.coeffs) == [c % m for c in schoolbook_pow(a, e, order)]
 
     @given(st.sampled_from(MODULI), same_order_pair_st(zero_constant=True))
+    # 3t mod 9 squares to zero: the powers of the inner series stop after one
+    @example(9, (TruncatedSeries(8, range(1, 9)), TruncatedSeries(8, [0, 3])))
     def test_residue_compose_matches_schoolbook(self, m, pair):
         f, g = pair
         got = f.reduce(m).compose(g.reduce(m))
