@@ -68,8 +68,6 @@ def check_composition(a: int, b: int, order: int) -> bool:
     This is an identity of the operations, so the result is always True;
     it is exposed as a checkable oracle rather than assumed.
     """
-    check_positive("Adams index", a)
-    check_positive("Adams index", b)
     return psi_apply(a, psi_generator(b, order)) == psi_generator(a * b, order)
 
 

@@ -166,7 +166,7 @@ class DegreeMapModel:
         check_degree(self.degree)
         higher = tuple(self.higher)
         for c in higher:
-            if not isinstance(c, int):
+            if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError(f"higher coefficients must be integers, got {c!r}")
         object.__setattr__(self, "higher", higher)
 

@@ -230,16 +230,10 @@ def forced_genus(k: int, bound: int) -> ForcedGenusReport:
         )
     if not isinstance(bound, int) or bound < 2:
         raise ValueError(f"bound must be an integer >= 2, got {bound!r}")
-    forced = []
-    free_odd = []
-    for p in odd_primes_upto(bound):
-        if k % p == 0:
-            free_odd.append(p)
-        else:
-            forced.append((p, _symbol(k, p)))
-    free = (2,) + tuple(free_odd)
-    free_count_total = 1 + len(distinct_odd_prime_factors(k))
-    return ForcedGenusReport(k, bound, tuple(forced), free, free_count_total)
+    factors = distinct_odd_prime_factors(k)
+    forced = [(p, _symbol(k, p)) for p in odd_primes_upto(bound) if k % p]
+    free = (2,) + tuple(q for q in factors if q <= bound)
+    return ForcedGenusReport(k, bound, tuple(forced), free, 1 + len(factors))
 
 
 def example_xp(p: int) -> tuple[RectorInvariant, int]:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 from .adams import check_composition, check_frobenius, psi_apply, psi_generator
 from .obstruction import TRIALS, compatible, compatible_bruteforce, legendre
 from .primes import odd_primes_upto
-from .series import TruncatedSeries
+from .series import TruncatedSeries, check_positive
 
 #: the default sweep: odd primes up to MAX_PRIME, degrees 1 <= |k| <= MAX_DEGREE
 MAX_PRIME = 31
@@ -205,10 +205,8 @@ def run_all(
     """
     if max_prime < 3:
         raise ValueError(f"max_prime must be at least 3, got {max_prime}: no odd prime to sweep")
-    if max_degree < 1:
-        raise ValueError(f"max_degree must be at least 1, got {max_degree}: no degree to sweep")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}: no brute-force trial to run")
+    check_positive("max_degree", max_degree)
+    check_positive("trials", trials)
     return [
         ring_axiom_suite(seed=seed),
         adams_law_suite(seed=seed),

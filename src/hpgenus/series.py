@@ -99,10 +99,8 @@ def _mul(a: Sequence[int], b: Sequence[int], n: int, modulus: Optional[int] = No
     """
     if modulus is None:
         # a product coefficient is a sum of at most n terms of size at most
-        # top: it fits in half a slot, and if top > 0 so does every input
-        top = max(map(abs, a)) * max(map(abs, b))
-        if not top:
-            return [0] * n
+        # top, and no input exceeds top either: all of them fit in half a slot
+        top = max(1, *map(abs, a)) * max(1, *map(abs, b))
         size, code = _slot((n * top).bit_length() + 1)
         half = 1 << (8 * size - 1)
         offset = int.from_bytes(half.to_bytes(size, "little") * n, "little")
@@ -152,7 +150,7 @@ class TruncatedSeries:
                 "re-truncation must be requested explicitly"
             )
         for c in coeffs:
-            if not isinstance(c, int):
+            if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError(f"coefficients must be integers, got {c!r}")
         if len(coeffs) < order:
             coeffs = coeffs + (0,) * (order - len(coeffs))

@@ -72,6 +72,9 @@ class TestGenerator:
             psi_generator(0, 4)
         with pytest.raises(ValueError):
             psi_generator(-2, 4)
+        for a, b in [(0, 3), (-2, 3), (3, 0), (3, -2)]:
+            with pytest.raises(ValueError, match="Adams index must be a positive integer"):
+                check_composition(a, b, 8)
 
 
 class TestApply:

@@ -93,6 +93,11 @@ class TestDegreeMapModel:
         with pytest.raises(ValueError, match="non-zero"):
             DegreeMapModel(0)
 
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_non_integer_higher_terms_rejected(self, bad):
+        with pytest.raises(ValueError, match="higher coefficients must be integers"):
+            DegreeMapModel(3, (bad,))
+
     @pytest.mark.parametrize(
         "order, coeffs",
         [(1, (0,)), (2, (0, 0)), (3, (0, 0, 5)), (8, (0, 0, 5, 7, -2, 0, 0, 0))],

@@ -1,0 +1,97 @@
+"""No dead names in the package: every import is used, every private definition referenced."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "hpgenus").glob("*.py"))
+
+#: names obstruction imports without using them, because bench/spans.py patches them there
+SPANS_PATCHED = {
+    ("obstruction.py", name) for name in ("psi_then_pullback", "pullback_then_psi", "is_prime")
+}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _loaded(tree: ast.AST) -> set[str]:
+    """Every name the tree reads, as a bare name or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _imported(tree: ast.Module) -> list[str]:
+    """The name each import statement binds, leaving out ``from __future__``."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.extend(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.extend(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Top-level functions, classes and assignments whose names start with one underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(target.id for target in targets if isinstance(target, ast.Name))
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_sources_found():
+    assert len(SOURCES) > 1
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    tree = _tree(path)
+    used = _loaded(tree) | _exported(tree)
+    dead = [
+        name
+        for name in _imported(tree)
+        if name not in used and (path.name, name) not in SPANS_PATCHED
+    ]
+    assert dead == [], f"{path.name} imports {dead} and never uses them"
+
+
+def test_every_private_definition_is_referenced():
+    trees = {path.name: _tree(path) for path in SOURCES}
+    referenced = set().union(*(_loaded(tree) for tree in trees.values()))
+    for tree in trees.values():
+        referenced.update(_imported(tree))
+    dead = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in referenced
+    ]
+    assert dead == [], f"private definitions never referenced in src/: {dead}"
+
+
+def test_allowlisted_names_are_still_patched_by_the_benchmark():
+    spans = (ROOT / "bench" / "spans.py").read_text(encoding="utf-8")
+    for _, name in sorted(SPANS_PATCHED):
+        assert f'"{name}"' in spans, f"bench/spans.py no longer patches {name}: unlist it"

@@ -34,6 +34,8 @@ from oracles import (
     legendre_by_enumeration,
     smallest_nonresidue_above_one,
     squares_mod,
+    trial_division_is_prime,
+    trial_division_odd_prime_factors,
 )
 
 
@@ -287,6 +289,21 @@ class TestForcedGenus:
             for p, sign in base.items():
                 if (k * m * m) % p != 0 and m % p != 0:
                     assert scaled[p] == sign
+
+    def test_free_and_forced_primes_match_the_oracles(self):
+        # the odd primes dividing k are free, every other odd prime up to the bound is forced
+        primes = [p for p in range(3, 98, 2) if trial_division_is_prime(p)]
+        symbol = {(r, p): legendre_by_enumeration(r, p) for p in primes for r in range(1, p)}
+        for magnitude in range(1, 2001):
+            factors = trial_division_odd_prime_factors(magnitude)
+            for k in (magnitude, -magnitude):
+                for bound in (2, 3, 10, 97):
+                    report = forced_genus(k, bound)
+                    assert report.free == (2,) + tuple(q for q in factors if q <= bound)
+                    assert report.forced == tuple(
+                        (p, symbol[k % p, p]) for p in primes if p <= bound and p not in factors
+                    )
+                    assert report.free_count_total == 1 + len(factors)
 
     def test_zero_degree_rejected(self):
         with pytest.raises(ValueError):

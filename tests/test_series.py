@@ -63,6 +63,8 @@ class TestConstruction:
     def test_non_integer_coefficients_rejected(self):
         with pytest.raises(ValueError):
             TruncatedSeries(3, [1.5])
+        with pytest.raises(ValueError, match="coefficients must be integers, got True"):
+            TruncatedSeries(2, [True])
 
     def test_padding(self):
         assert TruncatedSeries(5, [1, 2]).coeffs == (1, 2, 0, 0, 0)
@@ -314,6 +316,10 @@ class TestKernel:
         # an all-zero integer factor must not size the slot for a zero product
         assert _mul([0] * 4, [2**70, -5, 3, 1], 4) == [0] * 4
         assert _mul([2**70, -5, 3, 1], [0] * 4, 4) == [0] * 4
+        assert _mul([0] * 5, [0] * 5, 5) == [0] * 5
+        zeros = [0, 0, 0]
+        assert _mul(zeros, zeros, 3) == [0, 0, 0]
+        assert _mul([0], [2**200], 1) == [0]
 
     @given(st.integers(1, 12), st.sampled_from(MODULI), st.data())
     def test_residue_products_match_schoolbook(self, order, m, data):
