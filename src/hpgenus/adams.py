@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .primes import is_prime
-from .series import TruncatedSeries, check_positive
+from .series import TruncatedSeries, check_int
 
 
 def psi_generator(r: int, order: int) -> TruncatedSeries:
@@ -28,7 +28,7 @@ def psi_generator(r: int, order: int) -> TruncatedSeries:
     Powered over the integers, so the binomial coefficients are exact; the
     constant term is always zero and the t^1 coefficient is r.
     """
-    check_positive("Adams index", r)
+    check_int("Adams index", r, 1)
     return TruncatedSeries(order, (1, 1)[:order]) ** r - 1
 
 
@@ -54,7 +54,7 @@ def psi_apply(r: int, f: TruncatedSeries) -> TruncatedSeries:
     holds about order^2 / 2 exact coefficients (about 6 MB at r = 3 and
     order 400); the cache keeps at most 64 tables.
     """
-    check_positive("Adams index", r)
+    check_int("Adams index", r, 1)
     if f.coefficient(0) != 0:
         raise ValueError("psi acts on reduced classes: the constant term must be zero")
     # the coefficients past the last row multiply zero powers

@@ -35,7 +35,7 @@ from typing import Mapping
 
 from .adams import psi_apply
 from .primes import is_prime
-from .series import TruncatedSeries
+from .series import TruncatedSeries, check_int
 
 #: Signs are plain ints restricted to {+1, -1}.
 Sign = int
@@ -43,14 +43,14 @@ Sign = int
 
 def check_sign(value: int) -> int:
     """Validate and return a sign, which must be exactly +1 or -1."""
-    if value not in (1, -1) or isinstance(value, bool):
+    if check_int("sign", value) not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {value!r}")
     return value
 
 
 def check_degree(k: int) -> int:
     """Validate and return a map degree, which must be a non-zero int."""
-    if not isinstance(k, int) or isinstance(k, bool) or k == 0:
+    if check_int("degree", k) == 0:
         raise ValueError(f"degree must be a non-zero integer, got {k!r}")
     return k
 
@@ -166,8 +166,7 @@ class DegreeMapModel:
         check_degree(self.degree)
         higher = tuple(self.higher)
         for c in higher:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValueError(f"higher coefficients must be integers, got {c!r}")
+            check_int("higher coefficient", c)
         object.__setattr__(self, "higher", higher)
 
     @classmethod

@@ -42,7 +42,7 @@ from .primes import (  # noqa: F401
     is_prime,
     odd_primes_upto,
 )
-from .series import check_positive
+from .series import check_int
 
 #: the default number of brute-force trials per verdict
 TRIALS = 200
@@ -99,7 +99,8 @@ def compatible_bruteforce(
     check_sign(epsilon)
     check_odd_prime(p)
     check_degree_prime_to(k, p)
-    check_positive("trials", trials)
+    check_int("trials", trials, 1)
+    check_int("seed", seed)
     rng = random.Random(f"{seed}:{p}:{k}")
     for _ in range(trials):
         s = _pullback(p, random_degree_map(rng, k, p + 2))
@@ -228,8 +229,7 @@ def forced_genus(k: int, bound: int) -> ForcedGenusReport:
         raise ValueError(
             f"|degree| must be below {PRIME_TEST_CEILING}, the primality test's ceiling, got {k}"
         )
-    if not isinstance(bound, int) or bound < 2:
-        raise ValueError(f"bound must be an integer >= 2, got {bound!r}")
+    check_int("bound", bound, 2)
     factors = distinct_odd_prime_factors(k)
     forced = [(p, _symbol(k, p)) for p in odd_primes_upto(bound) if k % p]
     free = (2,) + tuple(q for q in factors if q <= bound)

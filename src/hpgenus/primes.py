@@ -20,6 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 
+from .series import check_int
+
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 #: The least composite that passes Miller-Rabin to all thirteen bases; the test
@@ -63,7 +65,7 @@ def is_prime(n: int) -> bool:
 
 def odd_primes_upto(bound: int) -> list[int]:
     """All odd primes p <= bound, ascending."""
-    if bound < 3:
+    if check_int("bound", bound) < 3:
         return []
     sieve = bytearray((1,)) * (bound + 1)
     sieve[0:2] = b"\x00\x00"
@@ -111,8 +113,8 @@ def distinct_odd_prime_factors(n: int) -> list[int]:
     A cofactor at or above ``PRIME_TEST_CEILING`` that is left after the
     trial division cannot be tested for primality, and raises ``ValueError``.
     """
-    if not isinstance(n, int) or n == 0:
-        raise ValueError(f"expected a non-zero integer, got {n!r}")
+    if check_int("n", n) == 0:
+        raise ValueError("n must be a non-zero integer, got 0")
     n = abs(n)
     while n % 2 == 0:
         n //= 2

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 from .adams import check_composition, check_frobenius, psi_apply, psi_generator
 from .obstruction import TRIALS, compatible, compatible_bruteforce, legendre
 from .primes import odd_primes_upto
-from .series import TruncatedSeries, check_positive
+from .series import TruncatedSeries, check_int
 
 #: the default sweep: odd primes up to MAX_PRIME, degrees 1 <= |k| <= MAX_DEGREE
 MAX_PRIME = 31
@@ -200,13 +200,13 @@ def run_all(
 ) -> list[SuiteResult]:
     """Every suite, in a fixed order.
 
-    Parameters that would leave the prime, degree or trial sweep empty are
-    rejected before any suite runs, so a pass is never vacuous.
+    Non-integer parameters, and those that would leave the prime, degree or
+    trial sweep empty, are rejected before any suite runs: a pass is never vacuous.
     """
-    if max_prime < 3:
-        raise ValueError(f"max_prime must be at least 3, got {max_prime}: no odd prime to sweep")
-    check_positive("max_degree", max_degree)
-    check_positive("trials", trials)
+    check_int("max_prime", max_prime, 3)
+    check_int("max_degree", max_degree, 1)
+    check_int("trials", trials, 1)
+    check_int("seed", seed)
     return [
         ring_axiom_suite(seed=seed),
         adams_law_suite(seed=seed),

@@ -114,10 +114,12 @@ def _mul(a: Sequence[int], b: Sequence[int], n: int, modulus: Optional[int] = No
     return [c % modulus for c in _slots(x * y, size, code, n)]
 
 
-def check_positive(what: str, value: int) -> None:
-    """Reject anything but a positive int; a bool is not an integer here."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+def check_int(what: str, value: int, floor: Optional[int] = None) -> int:
+    """Return value if it is an int, not a bool, and at least floor if given; else ValueError."""
+    if not isinstance(value, int) or isinstance(value, bool) or floor is not None and value < floor:
+        bound = "" if floor is None else f" >= {floor}"
+        raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
+    return value
 
 
 def _require_ring(order: int, modulus: Optional[int], other: "TruncatedSeries") -> None:
@@ -142,7 +144,7 @@ class TruncatedSeries:
     __slots__ = ("order", "coeffs", "modulus")
 
     def __init__(self, order: int, coeffs: Iterable[int] = ()) -> None:
-        check_positive("order", order)
+        check_int("order", order, 1)
         coeffs = tuple(coeffs)
         if len(coeffs) > order:
             raise ValueError(
@@ -150,8 +152,7 @@ class TruncatedSeries:
                 "re-truncation must be requested explicitly"
             )
         for c in coeffs:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValueError(f"coefficients must be integers, got {c!r}")
+            check_int("coefficient", c)
         if len(coeffs) < order:
             coeffs = coeffs + (0,) * (order - len(coeffs))
         self.order: int = order
@@ -190,16 +191,16 @@ class TruncatedSeries:
     @classmethod
     def monomial(cls, order: int, degree: int, coeff: int = 1) -> "TruncatedSeries":
         """coeff * t^degree; the degree must fit below the truncation order."""
-        if not isinstance(degree, int) or degree < 0 or degree >= order:
-            raise ValueError(f"monomial degree {degree!r} does not fit below t^{order}")
+        if check_int("monomial degree", degree, 0) >= order:
+            raise ValueError(f"monomial degree {degree} does not fit below t^{order}")
         return cls(order, (0,) * degree + (coeff,))
 
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, n: int) -> int:
         """The coefficient of t^n; asking beyond the truncation order is an error."""
-        if not isinstance(n, int) or n < 0 or n >= self.order:
-            raise ValueError(f"no coefficient of t^{n!r} in a series truncated at t^{self.order}")
+        if check_int("coefficient index", n, 0) >= self.order:
+            raise ValueError(f"no coefficient of t^{n} in a series truncated at t^{self.order}")
         return self.coeffs[n]
 
     def __getitem__(self, n: int) -> int:
@@ -245,8 +246,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
+        check_int("exponent", exponent, 0)
         n, m = self.order, self.modulus
         if exponent == 0:
             return self._like((1,) + (0,) * (n - 1))
@@ -336,7 +336,7 @@ class TruncatedSeries:
         A residue series can only be reduced further by a divisor of its
         modulus.
         """
-        check_positive("modulus", modulus)
+        check_int("modulus", modulus, 1)
         if self.modulus is not None:
             if self.modulus % modulus:
                 raise ValueError(f"cannot reduce a series mod {self.modulus} to mod {modulus}")

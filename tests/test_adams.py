@@ -73,7 +73,7 @@ class TestGenerator:
         with pytest.raises(ValueError):
             psi_generator(-2, 4)
         for a, b in [(0, 3), (-2, 3), (3, 0), (3, -2)]:
-            with pytest.raises(ValueError, match="Adams index must be a positive integer"):
+            with pytest.raises(ValueError, match="Adams index must be an integer >= 1"):
                 check_composition(a, b, 8)
 
 

@@ -1,0 +1,62 @@
+"""Every integer argument of the library goes through ``series.check_int``.
+
+Each call site is fed a bool, a float, None and, where it has a floor, the
+integer just below the floor and the float just above it.  Each must raise
+``ValueError`` naming the argument, before any work is done.
+"""
+
+import re
+
+import pytest
+
+from hpgenus import selftest
+from hpgenus.adams import psi_apply, psi_generator
+from hpgenus.genus import DegreeMapModel, check_degree, check_sign
+from hpgenus.obstruction import compatible_bruteforce, forced_genus
+from hpgenus.primes import distinct_odd_prime_factors, odd_primes_upto
+from hpgenus.series import TruncatedSeries
+
+F = TruncatedSeries(4, [0, 1, 2])
+
+#: (site, the argument's name in the message, a call taking the value, its floor or None)
+SITES = [
+    ("order", "order", lambda v: TruncatedSeries(v), 1),
+    ("coefficients", "coefficient", lambda v: TruncatedSeries(2, [v]), None),
+    ("reduce", "modulus", lambda v: F.reduce(v), 1),
+    ("monomial", "monomial degree", lambda v: TruncatedSeries.monomial(4, v), 0),
+    ("coefficient", "coefficient index", lambda v: F.coefficient(v), 0),
+    ("pow", "exponent", lambda v: F**v, 0),
+    ("psi_generator", "Adams index", lambda v: psi_generator(v, 4), 1),
+    ("psi_apply", "Adams index", lambda v: psi_apply(v, F), 1),
+    ("check_sign", "sign", check_sign, None),
+    ("check_degree", "degree", check_degree, None),
+    ("higher", "higher coefficient", lambda v: DegreeMapModel(3, (v,)), None),
+    ("factors", "n", distinct_odd_prime_factors, None),
+    ("odd_primes_upto", "bound", odd_primes_upto, None),
+    ("forced_genus", "bound", lambda v: forced_genus(5, v), 2),
+    ("bruteforce-trials", "trials", lambda v: compatible_bruteforce(3, 1, 2, trials=v), 1),
+    ("bruteforce-seed", "seed", lambda v: compatible_bruteforce(3, 1, 2, trials=1, seed=v), None),
+    ("run_all-max_prime", "max_prime", lambda v: selftest.run_all(max_prime=v), 3),
+    ("run_all-max_degree", "max_degree", lambda v: selftest.run_all(max_degree=v), 1),
+    ("run_all-trials", "trials", lambda v: selftest.run_all(trials=v), 1),
+    ("run_all-seed", "seed", lambda v: selftest.run_all(seed=v), None),
+]
+
+
+def _bad_values(floor):
+    if floor is None:
+        return [True, 1.5, None]
+    return [True, 1.5, None, floor - 1] + ([floor + 0.5] if floor != 1 else [])
+
+
+CASES = [
+    pytest.param(name, call, bad, id=f"{site}-{bad!r}")
+    for site, name, call, floor in SITES
+    for bad in _bad_values(floor)
+]
+
+
+@pytest.mark.parametrize("name, call, bad", CASES)
+def test_rejects_non_integers_and_values_below_the_floor(no_suite, name, call, bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer"):
+        call(bad)

@@ -519,21 +519,14 @@ class TestSelftest:
         assert "selftest: FAIL" in out
         assert "first counterexample" in out
 
-    @pytest.fixture
-    def no_suite(self, monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("a suite ran")
-
-        monkeypatch.setattr(selftest, "ring_axiom_suite", never)
-
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--max-degree", "0"], "max_degree must be a positive integer"),
-            (["--max-degree", "-5"], "max_degree must be a positive integer"),
-            (["--max-prime", "2"], "max_prime must be at least 3"),
-            (["--max-prime", "1"], "max_prime must be at least 3"),
-            (["--trials", "0"], "trials must be a positive integer"),
+            (["--max-degree", "0"], "max_degree must be an integer >= 1, got 0"),
+            (["--max-degree", "-5"], "max_degree must be an integer >= 1, got -5"),
+            (["--max-prime", "2"], "max_prime must be an integer >= 3, got 2"),
+            (["--max-prime", "1"], "max_prime must be an integer >= 3, got 1"),
+            (["--trials", "0"], "trials must be an integer >= 1, got 0"),
         ],
     )
     def test_empty_sweep_exits_one_before_any_suite(self, capsys, no_suite, flags, message):
@@ -544,7 +537,7 @@ class TestSelftest:
 
     @pytest.mark.parametrize("name", ["max_degree", "trials"])
     def test_bool_sweep_size_raises_before_any_suite(self, no_suite, name):
-        with pytest.raises(ValueError, match=f"{name} must be a positive integer, got True"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got True"):
             selftest.run_all(**{name: True})
 
     def test_frobenius_suite_builds_each_psi_table_once(self):

@@ -6,12 +6,14 @@ from hypothesis import assume, given, strategies as st
 from hpgenus.genus import (
     DegreeMapModel,
     RectorInvariant,
+    check_sign,
     psi_then_pullback,
     pullback_then_psi,
     random_degree_map,
     sign_from_str,
     sign_to_str,
 )
+from hpgenus.obstruction import compatible
 from hpgenus.series import TruncatedSeries
 
 from oracles import psi_then_pullback_exact, pullback_then_psi_exact
@@ -29,6 +31,12 @@ class TestSigns:
             sign_from_str("0")
         with pytest.raises(ValueError):
             sign_to_str(2)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_float_signs_rejected(self, sign):
+        for call in (check_sign, RectorInvariant, lambda s: compatible(3, s, 2)):
+            with pytest.raises(ValueError, match="sign must be an integer"):
+                call(sign)
 
 
 class TestRectorInvariant:
@@ -95,7 +103,7 @@ class TestDegreeMapModel:
 
     @pytest.mark.parametrize("bad", [1.5, True])
     def test_non_integer_higher_terms_rejected(self, bad):
-        with pytest.raises(ValueError, match="higher coefficients must be integers"):
+        with pytest.raises(ValueError, match="higher coefficient must be an integer"):
             DegreeMapModel(3, (bad,))
 
     @pytest.mark.parametrize(

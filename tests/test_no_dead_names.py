@@ -1,4 +1,7 @@
-"""No dead names in the package: every import is used, every private definition referenced."""
+"""No dead names in the package: every import is used, every private definition referenced.
+
+One integer rule: ``isinstance(..., bool)`` appears only in ``check_int`` and ``is_prime``.
+"""
 
 import ast
 from pathlib import Path
@@ -12,6 +15,10 @@ SOURCES = sorted((ROOT / "src" / "hpgenus").glob("*.py"))
 SPANS_PATCHED = {
     ("obstruction.py", name) for name in ("psi_then_pullback", "pullback_then_psi", "is_prime")
 }
+
+#: where ``isinstance(..., bool)`` may appear: the one integer rule, and the primality
+#: predicate, which answers False for a bool rather than raising
+BOOL_CHECKS = {("series.py", "check_int"), ("primes.py", "is_prime")}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -61,6 +68,29 @@ def _private_definitions(tree: ast.Module) -> list[str]:
     return [name for name in names if name.startswith("_") and not name.startswith("__")]
 
 
+def _is_bool_check(node: ast.AST) -> bool:
+    """Whether node is a call ``isinstance(x, bool)`` or ``isinstance(x, (..., bool, ...))``."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+        return False
+    kinds = node.args[1:2]
+    if kinds and isinstance(kinds[0], ast.Tuple):
+        kinds = kinds[0].elts
+    return any(getattr(kind, "id", None) == "bool" for kind in kinds)
+
+
+def _bool_check_owners(tree: ast.AST, owner=None) -> list:
+    """The innermost function around each bool check in the tree; None at module level."""
+    owners = []
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owners += _bool_check_owners(child, child.name)
+            continue
+        if _is_bool_check(child):
+            owners.append(owner)
+        owners += _bool_check_owners(child, owner)
+    return owners
+
+
 def test_sources_found():
     assert len(SOURCES) > 1
 
@@ -95,3 +125,10 @@ def test_allowlisted_names_are_still_patched_by_the_benchmark():
     spans = (ROOT / "bench" / "spans.py").read_text(encoding="utf-8")
     for _, name in sorted(SPANS_PATCHED):
         assert f'"{name}"' in spans, f"bench/spans.py no longer patches {name}: unlist it"
+
+
+def test_bools_are_rejected_by_the_one_integer_rule_only():
+    found = {
+        (path.name, owner) for path in SOURCES for owner in _bool_check_owners(_tree(path))
+    }
+    assert found == BOOL_CHECKS, f"isinstance(..., bool) outside check_int and is_prime: {found}"

@@ -42,6 +42,8 @@ def test_non_integers_and_bools_are_not_prime(value):
         3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
         3825123056546413051,  # strong pseudoprime to every prime base up to 31
         318665857834031151167461,  # strong pseudoprime to every prime base up to 37
+        56052361,  # Carmichael number 211 * 421 * 631
+        118901521,  # Carmichael number 271 * 541 * 811
     ],
 )
 def test_rejects_strong_pseudoprimes(n):
@@ -101,7 +103,7 @@ def test_the_primes_near_two_to_the_forty_are_prime():
 
 @pytest.mark.parametrize("n", [0, 1.0, "6", None])
 def test_factors_of_zero_and_non_integers_rejected(n):
-    with pytest.raises(ValueError, match="non-zero integer"):
+    with pytest.raises(ValueError, match="^n must be a"):
         distinct_odd_prime_factors(n)
 
 

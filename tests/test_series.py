@@ -63,7 +63,7 @@ class TestConstruction:
     def test_non_integer_coefficients_rejected(self):
         with pytest.raises(ValueError):
             TruncatedSeries(3, [1.5])
-        with pytest.raises(ValueError, match="coefficients must be integers, got True"):
+        with pytest.raises(ValueError, match="coefficient must be an integer, got True"):
             TruncatedSeries(2, [True])
 
     def test_padding(self):
@@ -238,7 +238,7 @@ class TestReduce:
             f.reduce(0)
         with pytest.raises(ValueError):
             f.reduce(-5)
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(ValueError, match="modulus must be an integer >= 1"):
             f.reduce(True)
 
     def test_modulus_only(self):
