@@ -79,8 +79,8 @@ def check_frobenius(p: int, f: TruncatedSeries) -> bool:
     """
     if not is_prime(p):
         raise ValueError(f"the Frobenius congruence needs a prime, got {p!r}")
-    if f.coefficient(0) != 0:
-        raise ValueError("the constant term must be zero")
+    if not isinstance(f, TruncatedSeries) or f.coefficient(0) != 0:
+        raise ValueError(f"expected a series with zero constant term, got {f!r}")
     # reduction mod p commutes with psi^p and with powers
     residues = f.reduce(p)
     return psi_apply(p, residues) == residues**p

@@ -27,6 +27,7 @@ sets it, and no environment variable changes it.  Results go to stdout
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -295,7 +296,9 @@ def _cmd_selftest(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # one parser per process, built on the first main call: handlers and defaults bind then
     parser = _Parser(prog="hpgenus", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

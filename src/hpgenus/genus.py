@@ -35,7 +35,7 @@ from typing import Mapping
 
 from .adams import psi_apply
 from .primes import is_prime
-from .series import TruncatedSeries, check_int
+from .series import TruncatedSeries, check_int, check_iterable
 
 #: Signs are plain ints restricted to {+1, -1}.
 Sign = int
@@ -102,7 +102,7 @@ class RectorInvariant:
         items = (
             self.exceptions.items()
             if isinstance(self.exceptions, Mapping)
-            else tuple(self.exceptions)
+            else check_iterable("exceptions", self.exceptions)
         )
         canonical = []
         seen = set()
@@ -164,7 +164,7 @@ class DegreeMapModel:
 
     def __post_init__(self) -> None:
         check_degree(self.degree)
-        higher = tuple(self.higher)
+        higher = check_iterable("higher", self.higher)
         for c in higher:
             check_int("higher coefficient", c)
         object.__setattr__(self, "higher", higher)

@@ -42,7 +42,7 @@ from .primes import (  # noqa: F401
     is_prime,
     odd_primes_upto,
 )
-from .series import check_int
+from .series import check_int, check_iterable
 
 #: the default number of brute-force trials per verdict
 TRIALS = 200
@@ -149,7 +149,7 @@ def admissible(genus: RectorInvariant, k: int, primes: Iterable[int]) -> Verdict
     that leaves no prime to test (empty, or every prime dividing k) is
     rejected rather than answered vacuously.
     """
-    tested = sorted(set(primes))
+    tested = sorted(set(check_iterable("primes", primes)))
     for p in tested:
         check_odd_prime(p)
     return _admissible(genus, k, tested)

@@ -177,6 +177,7 @@ def lemma_equivalence_suite(
     max_prime: int = MAX_PRIME, max_degree: int = MAX_DEGREE, trials: int = TRIALS, seed: int = 0
 ) -> SuiteResult:
     """Brute-force series verdicts equal the closed-form criterion on a full sweep."""
+    check_int("max_degree", max_degree, 1)
     rec = SuiteResult("lemma-equivalence")
     for p in odd_primes_upto(max_prime):
         for magnitude in range(1, max_degree + 1):

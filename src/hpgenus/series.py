@@ -122,6 +122,15 @@ def check_int(what: str, value: int, floor: Optional[int] = None) -> int:
     return value
 
 
+def check_iterable(what: str, value) -> tuple:
+    """Return tuple(value), or raise ValueError if value is not iterable."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise ValueError(f"{what} must be iterable, got {value!r}") from None
+    return tuple(items)
+
+
 def _require_ring(order: int, modulus: Optional[int], other: "TruncatedSeries") -> None:
     if order != other.order:
         raise ValueError(f"order mismatch: {order} vs {other.order}")

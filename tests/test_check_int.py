@@ -2,7 +2,8 @@
 
 Each call site is fed a bool, a float, None and, where it has a floor, the
 integer just below the floor and the float just above it.  Each must raise
-``ValueError`` naming the argument, before any work is done.
+``ValueError`` naming the argument, before any work is done.  The arguments
+that must be iterable, or a series, get the same contract for an int.
 """
 
 import re
@@ -10,9 +11,9 @@ import re
 import pytest
 
 from hpgenus import selftest
-from hpgenus.adams import psi_apply, psi_generator
-from hpgenus.genus import DegreeMapModel, check_degree, check_sign
-from hpgenus.obstruction import compatible_bruteforce, forced_genus
+from hpgenus.adams import check_frobenius, psi_apply, psi_generator
+from hpgenus.genus import DegreeMapModel, RectorInvariant, check_degree, check_sign
+from hpgenus.obstruction import admissible, compatible_bruteforce, forced_genus
 from hpgenus.primes import distinct_odd_prime_factors, odd_primes_upto
 from hpgenus.series import TruncatedSeries
 
@@ -40,6 +41,7 @@ SITES = [
     ("run_all-max_degree", "max_degree", lambda v: selftest.run_all(max_degree=v), 1),
     ("run_all-trials", "trials", lambda v: selftest.run_all(trials=v), 1),
     ("run_all-seed", "seed", lambda v: selftest.run_all(seed=v), None),
+    ("lemma-max_degree", "max_degree", lambda v: selftest.lemma_equivalence_suite(3, v, 1), 1),
 ]
 
 
@@ -60,3 +62,22 @@ CASES = [
 def test_rejects_non_integers_and_values_below_the_floor(no_suite, name, call, bad):
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer"):
         call(bad)
+
+
+#: (the start of its message, a call given an int where it needs an iterable or a series)
+NOT_ITERABLE = [
+    pytest.param(
+        "exceptions must be iterable", lambda: RectorInvariant(1, 5), id="RectorInvariant"
+    ),
+    pytest.param("higher must be iterable", lambda: DegreeMapModel(1, 5), id="DegreeMapModel"),
+    pytest.param(
+        "primes must be iterable", lambda: admissible(RectorInvariant(1), 5, 3), id="admissible"
+    ),
+    pytest.param("expected a series", lambda: check_frobenius(3, 5), id="check_frobenius"),
+]
+
+
+@pytest.mark.parametrize("message, call", NOT_ITERABLE)
+def test_rejects_an_int_where_an_iterable_or_a_series_belongs(message, call):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()

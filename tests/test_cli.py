@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -609,3 +610,66 @@ class TestDeterminismAndPlumbing:
             cli.parse_genus_spec("3:-1;default=+1;default=-1")
         with pytest.raises(ValueError):
             cli.parse_genus_spec("3=-1;default=+1")
+
+
+class TestParserReuse:
+    """``cli.main`` builds its parser on the first call and reuses it on every later one."""
+
+    #: one call per command; selftest runs with its flag defaults against a stub sweep
+    CALLS = [
+        ["verify-lemma", "--prime", "5", "--degree", "3", "--epsilon", "-1", "--format", "json"],
+        ["admissible", "--degree", "5", "--genus", "3:-1;default=+1", "--bound", "20"],
+        ["forced-genus", "--degree", "6", "--bound", "30", "--format", "json"],
+        ["example-xp", "--prime", "7"],
+        ["selftest"],
+    ]
+    BETWEEN = [
+        ["verify-lemma", "--prime", "x", "--degree", "3", "--epsilon", "+1"],  # usage error
+        ["forced-genus", "--degree", "5", "--bound", str(cli.BOUND_CEILING + 1)],  # ValueError
+    ]
+
+    @pytest.fixture
+    def stub_sweep(self, monkeypatch):
+        # a fast sweep whose one suite records the flags the handler was given
+        def stub(max_prime, max_degree, trials, seed):
+            return [SuiteResult(f"sweep-{max_prime}-{max_degree}-{trials}-{seed}", 1)]
+
+        monkeypatch.setattr(selftest, "run_all", stub)
+
+    @pytest.mark.parametrize("argv", CALLS, ids=[argv[0] for argv in CALLS])
+    def test_a_call_after_both_error_exits_repeats_the_first(self, capsys, stub_sweep, argv):
+        first = run_cli(capsys, *argv)
+        usage = run_cli(capsys, *self.BETWEEN[0])
+        refused = run_cli(capsys, *self.BETWEEN[1])
+        assert usage[0] == 1 and "error: argument --prime" in usage[2]
+        assert refused[0] == 1 and f"must be at most {cli.BOUND_CEILING}" in refused[2]
+        assert run_cli(capsys, *argv) == first
+        assert first[0] in (0, 2) and first[1]
+
+    def test_selftest_defaults_survive_reuse(self, capsys, stub_sweep):
+        expected = f"sweep-{selftest.MAX_PRIME}-{selftest.MAX_DEGREE}-{obstruction.TRIALS}-0"
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, "selftest")
+            assert code == 0 and out.startswith(expected)
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"]] + [[argv[0], "--help"] for argv in CALLS], ids=lambda a: " ".join(a)
+    )
+    def test_help_is_byte_identical_on_reuse(self, capsys, argv):
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0 and first[1].startswith("usage: hpgenus")
+        assert run_cli(capsys, *argv) == first
+
+    def test_a_warm_main_adds_no_argument(self, capsys, stub_sweep, monkeypatch):
+        run_cli(capsys, *self.CALLS[0])
+        added = []
+        real = argparse.ArgumentParser.add_argument
+
+        def counting(parser, *args, **kwargs):
+            added.append(args)
+            return real(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        for argv in self.CALLS:
+            run_cli(capsys, *argv)
+        assert added == []
