@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .primes import is_prime
-from .series import TruncatedSeries, check_int
+from .series import TruncatedSeries, check_int, check_series
 
 
 def psi_generator(r: int, order: int) -> TruncatedSeries:
@@ -29,7 +29,7 @@ def psi_generator(r: int, order: int) -> TruncatedSeries:
     constant term is always zero and the t^1 coefficient is r.
     """
     check_int("Adams index", r, 1)
-    return TruncatedSeries(order, (1, 1)[:order]) ** r - 1
+    return TruncatedSeries(order, (1, 1)[: check_int("order", order, 1)]) ** r - 1
 
 
 @lru_cache(maxsize=64)
@@ -55,11 +55,10 @@ def psi_apply(r: int, f: TruncatedSeries) -> TruncatedSeries:
     order 400); the cache keeps at most 64 tables.
     """
     check_int("Adams index", r, 1)
-    if f.coefficient(0) != 0:
-        raise ValueError("psi acts on reduced classes: the constant term must be zero")
+    check_series("f", f)
     # the coefficients past the last row multiply zero powers
     rows = _psi_rows(r, f.order, f.modulus)
-    return TruncatedSeries.combination(f.order, f.modulus, f.coeffs[1:], rows)
+    return TruncatedSeries._combination(f.order, f.modulus, f.coeffs[1:], rows)
 
 
 def check_composition(a: int, b: int, order: int) -> bool:
@@ -79,8 +78,6 @@ def check_frobenius(p: int, f: TruncatedSeries) -> bool:
     """
     if not is_prime(p):
         raise ValueError(f"the Frobenius congruence needs a prime, got {p!r}")
-    if not isinstance(f, TruncatedSeries) or f.coefficient(0) != 0:
-        raise ValueError(f"expected a series with zero constant term, got {f!r}")
     # reduction mod p commutes with psi^p and with powers
-    residues = f.reduce(p)
+    residues = check_series("f", f).reduce(p)
     return psi_apply(p, residues) == residues**p

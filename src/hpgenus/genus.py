@@ -35,7 +35,7 @@ from typing import Mapping
 
 from .adams import psi_apply
 from .primes import is_prime
-from .series import TruncatedSeries, check_int, check_iterable
+from .series import TruncatedSeries, check_int, check_iterable, check_type
 
 #: Signs are plain ints restricted to {+1, -1}.
 Sign = int
@@ -106,7 +106,11 @@ class RectorInvariant:
         )
         canonical = []
         seen = set()
-        for p, sign in items:
+        for item in items:
+            pair = check_iterable("exception", item)
+            if len(pair) != 2:
+                raise ValueError(f"exception must be a (prime, sign) pair, got {item!r}")
+            p, sign = pair
             if not is_prime(p):
                 raise ValueError(f"exception keys must be prime, got {p!r}")
             if p in seen:
@@ -179,7 +183,8 @@ class DegreeMapModel:
 
     def as_series(self, order: int) -> TruncatedSeries:
         """degree * t^2 plus the higher terms, truncated to the given order."""
-        return TruncatedSeries(order, ((0, 0, self.degree) + self.higher)[:order])
+        coeffs = ((0, 0, self.degree) + self.higher)[: check_int("order", order, 1)]
+        return TruncatedSeries._trusted(order, coeffs + (0,) * (order - len(coeffs)), None)
 
 
 def _pullback(p: int, f: DegreeMapModel) -> TruncatedSeries:
@@ -206,7 +211,7 @@ def psi_then_pullback(p: int, epsilon: Sign, f: DegreeMapModel) -> TruncatedSeri
     """
     check_sign(epsilon)
     check_odd_prime(p)
-    check_degree_prime_to(f.degree, p)
+    check_degree_prime_to(check_type("f", f, DegreeMapModel).degree, p)
     return _lhs(p, epsilon, _pullback(p, f))
 
 
@@ -216,7 +221,7 @@ def pullback_then_psi(p: int, f: DegreeMapModel) -> TruncatedSeries:
     A residue series mod p^2 in (Z/p^2)[t]/(t^(p+2)).
     """
     check_odd_prime(p)
-    return psi_apply(p, _pullback(p, f))
+    return psi_apply(p, _pullback(p, check_type("f", f, DegreeMapModel)))
 
 
 # -- seeded random models ----------------------------------------------------
@@ -245,9 +250,10 @@ def random_degree_map(rng: random.Random, degree: int, order: int) -> DegreeMapM
     called order - 3 times, and rng is left in the same state, but the words
     are drawn in batches, one ``getrandbits`` call per batch.
     """
+    check_type("rng", rng, random.Random)
     check_degree(degree)
     higher: list[int] = []
-    need = order - 3
+    need = check_int("order", order, 1) - 3
     while need > 0:
         words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
         higher += [v - DRAW_BOUND for v in words[3::4].translate(_TOP_BITS, _REJECTED)]

@@ -42,7 +42,7 @@ from .primes import (  # noqa: F401
     is_prime,
     odd_primes_upto,
 )
-from .series import check_int, check_iterable
+from .series import check_int, check_iterable, check_type
 
 #: the default number of brute-force trials per verdict
 TRIALS = 200
@@ -92,8 +92,8 @@ def compatible_bruteforce(
     reproducible bit for bit.
 
     The arguments are checked once per call.  Each trial then builds the
-    map's pullback S mod p^2 once and expands each route from it with the
-    unchecked functions the public routes use: ``_lhs`` for
+    map's pullback S mod p^2 once and expands each route from it with what
+    the public routes call: the unchecked ``_lhs`` for
     ``psi_then_pullback`` and ``psi_apply`` for ``pullback_then_psi``.
     """
     check_sign(epsilon)
@@ -149,7 +149,8 @@ def admissible(genus: RectorInvariant, k: int, primes: Iterable[int]) -> Verdict
     that leaves no prime to test (empty, or every prime dividing k) is
     rejected rather than answered vacuously.
     """
-    tested = sorted(set(check_iterable("primes", primes)))
+    check_type("genus", genus, RectorInvariant)
+    tested = sorted({check_int("prime", p) for p in check_iterable("primes", primes)})
     for p in tested:
         check_odd_prime(p)
     return _admissible(genus, k, tested)

@@ -131,6 +131,20 @@ def check_iterable(what: str, value) -> tuple:
     return tuple(items)
 
 
+def check_type(what: str, value, kind: type):
+    """Return value if it is an instance of kind, or raise ValueError."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def check_series(what: str, value) -> "TruncatedSeries":
+    """Return value if it is a TruncatedSeries with zero constant term, or raise ValueError."""
+    if not isinstance(value, TruncatedSeries) or value.coeffs[0]:
+        raise ValueError(f"{what} must be a TruncatedSeries with zero constant term, got {value!r}")
+    return value
+
+
 def _require_ring(order: int, modulus: Optional[int], other: "TruncatedSeries") -> None:
     if order != other.order:
         raise ValueError(f"order mismatch: {order} vs {other.order}")
@@ -154,7 +168,7 @@ class TruncatedSeries:
 
     def __init__(self, order: int, coeffs: Iterable[int] = ()) -> None:
         check_int("order", order, 1)
-        coeffs = tuple(coeffs)
+        coeffs = check_iterable("coefficients", coeffs)
         if len(coeffs) > order:
             raise ValueError(
                 f"{len(coeffs)} coefficients do not fit below t^{order}; "
@@ -200,7 +214,7 @@ class TruncatedSeries:
     @classmethod
     def monomial(cls, order: int, degree: int, coeff: int = 1) -> "TruncatedSeries":
         """coeff * t^degree; the degree must fit below the truncation order."""
-        if check_int("monomial degree", degree, 0) >= order:
+        if check_int("monomial degree", degree, 0) >= check_int("order", order, 1):
             raise ValueError(f"monomial degree {degree} does not fit below t^{order}")
         return cls(order, (0,) * degree + (coeff,))
 
@@ -280,7 +294,7 @@ class TruncatedSeries:
         return TruncatedSeries._trusted(n, (0,) * low + tuple(result), m)
 
     @classmethod
-    def combination(
+    def _combination(
         cls,
         order: int,
         modulus: Optional[int],
@@ -289,17 +303,13 @@ class TruncatedSeries:
     ) -> "TruncatedSeries":
         """sum(c * s for c, s in zip(scalars, terms)), a series of this order and modulus.
 
-        Every term with a non-zero scalar must be in that ring; the others
-        are skipped unread.  The scaled terms are summed in one pass each and
-        reduced once, at the end.  With no term left the result is zero in
-        that ring.
+        Unchecked: the scalars are ints and the terms are in that ring.  A
+        term with a zero scalar is skipped unread, the others are summed in
+        one pass each and reduced once; with none left the result is zero.
         """
         acc = None
         for c, term in zip(scalars, terms):
-            if not isinstance(c, int):
-                raise ValueError(f"scalars must be integers, got {c!r}")
             if c:
-                _require_ring(order, modulus, term)
                 scaled = map(c.__mul__, term.coeffs)
                 acc = list(scaled) if acc is None else list(map(add, acc, scaled))
         if acc is None:
@@ -314,15 +324,11 @@ class TruncatedSeries:
         The inner series must have zero constant term, otherwise the
         substitution is not well defined modulo t^N.
         """
-        if not isinstance(inner, TruncatedSeries):
-            raise ValueError(f"can only compose with a TruncatedSeries, got {inner!r}")
-        _require_ring(self.order, self.modulus, inner)
-        if inner.coeffs[0] != 0:
-            raise ValueError("inner series of a composition must have zero constant term")
+        _require_ring(self.order, self.modulus, check_series("inner", inner))
         # the coefficients past the last non-zero power multiply zero
         powers = inner._powers()
         return (
-            TruncatedSeries.combination(self.order, self.modulus, self.coeffs[1:], powers)
+            TruncatedSeries._combination(self.order, self.modulus, self.coeffs[1:], powers)
             + self.coeffs[0]
         )
 

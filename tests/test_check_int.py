@@ -3,16 +3,27 @@
 Each call site is fed a bool, a float, None and, where it has a floor, the
 integer just below the floor and the float just above it.  Each must raise
 ``ValueError`` naming the argument, before any work is done.  The arguments
-that must be iterable, or a series, get the same contract for an int.
+that must be iterable, or a series, get the same contract for an int, and
+the calls that once raised ``TypeError`` or ``AttributeError``, or returned,
+each have a row of their own.
 """
 
+import random
 import re
 
 import pytest
 
 from hpgenus import selftest
-from hpgenus.adams import check_frobenius, psi_apply, psi_generator
-from hpgenus.genus import DegreeMapModel, RectorInvariant, check_degree, check_sign
+from hpgenus.adams import check_composition, check_frobenius, psi_apply, psi_generator
+from hpgenus.genus import (
+    DegreeMapModel,
+    RectorInvariant,
+    check_degree,
+    check_sign,
+    pullback_then_psi,
+    psi_then_pullback,
+    random_degree_map,
+)
 from hpgenus.obstruction import admissible, compatible_bruteforce, forced_genus
 from hpgenus.primes import distinct_odd_prime_factors, odd_primes_upto
 from hpgenus.series import TruncatedSeries
@@ -73,11 +84,88 @@ NOT_ITERABLE = [
     pytest.param(
         "primes must be iterable", lambda: admissible(RectorInvariant(1), 5, 3), id="admissible"
     ),
-    pytest.param("expected a series", lambda: check_frobenius(3, 5), id="check_frobenius"),
+    pytest.param(
+        "f must be a TruncatedSeries with zero constant term",
+        lambda: check_frobenius(3, 5),
+        id="check_frobenius",
+    ),
 ]
 
 
 @pytest.mark.parametrize("message, call", NOT_ITERABLE)
 def test_rejects_an_int_where_an_iterable_or_a_series_belongs(message, call):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()
+
+
+POINT = RectorInvariant(1)
+SERIES = "f must be a TruncatedSeries with zero constant term"
+
+#: (the start of its message, a call that raised another error, or returned, before
+#: every argument went through a rule at the public entry)
+LEAKS = [
+    pytest.param(SERIES, lambda: psi_apply(3, 5), id="psi_apply-int"),
+    pytest.param(
+        "f must be a DegreeMapModel", lambda: psi_then_pullback(3, 1, 5), id="psi_then_pullback"
+    ),
+    pytest.param(
+        "f must be a DegreeMapModel", lambda: pullback_then_psi(3, 5), id="pullback_then_psi"
+    ),
+    pytest.param(
+        "genus must be a RectorInvariant", lambda: admissible(None, 5, [3]), id="admissible-genus"
+    ),
+    pytest.param(
+        "rng must be a Random", lambda: random_degree_map(None, 1, 5), id="random_degree_map-rng"
+    ),
+    *[
+        pytest.param(
+            "order must be an integer >= 1",
+            lambda order=order: random_degree_map(random.Random(0), 1, order),
+            id=f"random_degree_map-order-{order!r}",
+        )
+        for order in (5.5, None, -4)
+    ],
+    pytest.param(
+        "coefficients must be iterable", lambda: TruncatedSeries(3, 5), id="TruncatedSeries"
+    ),
+    pytest.param(
+        "exception must be iterable", lambda: RectorInvariant(1, [5]), id="RectorInvariant-int"
+    ),
+    pytest.param(
+        "exception must be a (prime, sign) pair",
+        lambda: RectorInvariant(1, [(5,)]),
+        id="RectorInvariant-single",
+    ),
+    *[
+        pytest.param(
+            "prime must be an integer",
+            lambda junk=junk: admissible(POINT, 5, [3, junk]),
+            id=f"admissible-prime-{junk!r}",
+        )
+        for junk in ("a", None)
+    ],
+    pytest.param(
+        "order must be an integer >= 1", lambda: psi_generator(2, 1.5), id="psi_generator-order"
+    ),
+    pytest.param(
+        "order must be an integer >= 1",
+        lambda: check_composition(2, 3, 1.5),
+        id="check_composition-order",
+    ),
+    pytest.param(
+        "order must be an integer >= 1",
+        lambda: DegreeMapModel(1).as_series(1.5),
+        id="as_series-order",
+    ),
+    pytest.param(
+        "order must be an integer >= 1",
+        lambda: TruncatedSeries.monomial("x", 1),
+        id="monomial-order",
+    ),
+]
+
+
+@pytest.mark.parametrize("message, call", LEAKS)
+def test_rejects_what_once_leaked_another_error(message, call):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         call()

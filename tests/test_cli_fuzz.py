@@ -113,17 +113,22 @@ def _fuzz_main(argv):
     assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
 
 
-def test_main_answers_every_fuzzed_argv():
+def run_capped(script: str) -> None:
+    """Run script in a child process under the address-space cap and the timeout; it must exit 0."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, __file__, str(ADDRESS_SPACE)],
+        [sys.executable, script, str(ADDRESS_SPACE)],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=TIMEOUT_S,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_main_answers_every_fuzzed_argv():
+    run_capped(__file__)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """No dead names in the package: every import is used, every private definition referenced.
 
 One integer rule: ``isinstance(..., bool)`` appears only in ``check_int`` and ``is_prime``.
+One argument boundary: ``isinstance`` appears only in the argument rules, ``is_prime``, the
+operator overloads and ``RectorInvariant``'s choice between a mapping and pairs.
 """
 
 import ast
@@ -19,6 +21,21 @@ SPANS_PATCHED = {
 #: where ``isinstance(..., bool)`` may appear: the one integer rule, and the primality
 #: predicate, which answers False for a bool rather than raising
 BOOL_CHECKS = {("series.py", "check_int"), ("primes.py", "is_prime")}
+
+#: where any ``isinstance`` may appear: the argument rules; the primality predicate; the
+#: operator overloads, which return NotImplemented for a foreign operand; and the one place
+#: that tells a {prime: sign} mapping from (prime, sign) pairs
+TYPE_TESTS = {
+    ("series.py", "check_int"),
+    ("series.py", "check_type"),
+    ("series.py", "check_series"),
+    ("primes.py", "is_prime"),
+    ("series.py", "TruncatedSeries.__add__"),
+    ("series.py", "TruncatedSeries.__sub__"),
+    ("series.py", "TruncatedSeries.__mul__"),
+    ("series.py", "TruncatedSeries.__eq__"),
+    ("genus.py", "RectorInvariant.__post_init__"),
+}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -68,9 +85,14 @@ def _private_definitions(tree: ast.Module) -> list[str]:
     return [name for name in names if name.startswith("_") and not name.startswith("__")]
 
 
+def _is_type_test(node: ast.AST) -> bool:
+    """Whether node is a call ``isinstance(...)``."""
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+
+
 def _is_bool_check(node: ast.AST) -> bool:
     """Whether node is a call ``isinstance(x, bool)`` or ``isinstance(x, (..., bool, ...))``."""
-    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+    if not _is_type_test(node):
         return False
     kinds = node.args[1:2]
     if kinds and isinstance(kinds[0], ast.Tuple):
@@ -78,16 +100,18 @@ def _is_bool_check(node: ast.AST) -> bool:
     return any(getattr(kind, "id", None) == "bool" for kind in kinds)
 
 
-def _bool_check_owners(tree: ast.AST, owner=None) -> list:
-    """The innermost function around each bool check in the tree; None at module level."""
+def _owners(tree: ast.AST, matches, owner=None) -> list:
+    """The innermost function or class around each node that matches, by its dotted name
+    (``Class.method``); None at module level."""
     owners = []
     for child in ast.iter_child_nodes(tree):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owners += _bool_check_owners(child, child.name)
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = child.name if owner is None else f"{owner}.{child.name}"
+            owners += _owners(child, matches, name)
             continue
-        if _is_bool_check(child):
+        if matches(child):
             owners.append(owner)
-        owners += _bool_check_owners(child, owner)
+        owners += _owners(child, matches, owner)
     return owners
 
 
@@ -129,6 +153,13 @@ def test_allowlisted_names_are_still_patched_by_the_benchmark():
 
 def test_bools_are_rejected_by_the_one_integer_rule_only():
     found = {
-        (path.name, owner) for path in SOURCES for owner in _bool_check_owners(_tree(path))
+        (path.name, owner) for path in SOURCES for owner in _owners(_tree(path), _is_bool_check)
     }
     assert found == BOOL_CHECKS, f"isinstance(..., bool) outside check_int and is_prime: {found}"
+
+
+def test_types_are_tested_by_the_argument_rules_only():
+    found = {
+        (path.name, owner) for path in SOURCES for owner in _owners(_tree(path), _is_type_test)
+    }
+    assert found == TYPE_TESTS, f"isinstance outside the listed places: {found ^ TYPE_TESTS}"
