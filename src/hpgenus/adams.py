@@ -76,8 +76,9 @@ def check_frobenius(p: int, f: TruncatedSeries) -> bool:
     Holds for every prime p and every series f with zero constant term;
     exposed as a checkable oracle.
     """
+    # the prime rule is genus.check_prime, but genus imports adams: its message, by hand
     if not is_prime(p):
-        raise ValueError(f"the Frobenius congruence needs a prime, got {p!r}")
+        raise ValueError(f"p must be a prime, got {p!r}")
     # reduction mod p commutes with psi^p and with powers
     residues = check_series("f", f).reduce(p)
     return psi_apply(p, residues) == residues**p

@@ -83,45 +83,15 @@ def _prime_list_arg(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def parse_genus_spec(spec: str) -> RectorInvariant:
-    """Parse the inline genus grammar ``"p1:s1,p2:s2;default=s"``.
-
-    The default part is required; the exception list may be empty, e.g.
-    ``"default=+1"`` or ``"3:-1,7:+1;default=+1"``.
-    """
-    default = None
-    exceptions: list[tuple[int, int]] = []
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        if part.startswith("default="):
-            if default is not None:
-                raise ValueError(f"duplicate default in genus spec {spec!r}")
-            default = sign_from_str(part[len("default=") :].strip())
-            continue
-        for entry in part.split(","):
-            entry = entry.strip()
-            if not entry:
-                continue
-            prime_text, sep, sign_text = entry.partition(":")
-            if not sep:
-                raise ValueError(f"bad genus entry {entry!r}, expected 'prime:sign'")
-            try:
-                prime = int(prime_text)
-            except ValueError:
-                raise ValueError(f"bad prime {prime_text!r} in genus spec")
-            exceptions.append((prime, sign_from_str(sign_text.strip())))
-    if default is None:
-        raise ValueError(f"genus spec {spec!r} is missing 'default=+1' or 'default=-1'")
-    return RectorInvariant(default, exceptions)
-
-
 def _load_genus(args) -> RectorInvariant:
     if args.genus is not None:
-        return parse_genus_spec(args.genus)
+        return RectorInvariant.from_spec(args.genus)
     with open(args.genus_file, "r", encoding="utf-8") as handle:
-        return RectorInvariant.from_json_dict(json.load(handle))
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError("malformed genus document: nested too deeply") from None
+    return RectorInvariant.from_json_dict(data)
 
 
 def _emit(payload: dict, rows: list[tuple[str, str]], fmt: str) -> None:
@@ -131,13 +101,6 @@ def _emit(payload: dict, rows: list[tuple[str, str]], fmt: str) -> None:
         width = max(len(key) for key, _ in rows)
         for key, value in rows:
             print(f"{key.ljust(width)}  {value}")
-
-
-def _genus_inline(genus: RectorInvariant) -> str:
-    parts = [f"{p}:{sign_to_str(s)}" for p, s in genus.exceptions]
-    body = ",".join(parts)
-    tail = f"default={sign_to_str(genus.default)}"
-    return f"{body};{tail}" if body else tail
 
 
 def _check_ceiling(flag: str, value: int, ceiling: int) -> None:
@@ -209,7 +172,7 @@ def _cmd_admissible(args) -> int:
     }
     rows = [
         ("degree", str(args.degree)),
-        ("genus", _genus_inline(genus)),
+        ("genus", genus.to_spec()),
         ("outcome", verdict.outcome),
     ]
     if not verdict.is_admissible:
@@ -264,7 +227,7 @@ def _cmd_example_xp(args) -> int:
     }
     rows = [
         ("prime", str(args.prime)),
-        ("genus", _genus_inline(point)),
+        ("genus", point.to_spec()),
         ("witness degree", str(witness)),
         ("witness symbol", symbol),
         (f"admissible at {{{args.prime}}}", verdict.outcome),

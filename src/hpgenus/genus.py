@@ -55,11 +55,12 @@ def check_degree(k: int) -> int:
     return k
 
 
-def check_odd_prime(p: int) -> int:
-    """Validate and return an odd prime."""
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"expected an odd prime, got {p!r}")
-    return p
+def check_prime(what: str, value: int, floor: int = 2) -> int:
+    """Return value if it is a prime and at least floor, else ValueError; floor 3 means odd."""
+    if not is_prime(value) or value < floor:
+        bound = "" if floor == 2 else f" >= {floor}"
+        raise ValueError(f"{what} must be a prime{bound}, got {value!r}")
+    return value
 
 
 def check_degree_prime_to(k: int, p: int) -> int:
@@ -81,6 +82,16 @@ def sign_from_str(text: str) -> int:
     raise ValueError(f"sign must be '+1' or '-1', got {text!r}")
 
 
+def _entry(prime_text, sign_text) -> tuple:
+    # one (prime, sign) entry of either genus text form: a key that int() refuses is kept as
+    # it is, so that the prime rule in RectorInvariant rejects it with the same message
+    try:
+        prime_text = int(prime_text)
+    except ValueError:
+        pass
+    return prime_text, sign_from_str(sign_text)
+
+
 @dataclass(frozen=True)
 class RectorInvariant:
     """Per-prime sign invariants of a genus point.
@@ -91,7 +102,8 @@ class RectorInvariant:
     default as sorted (prime, sign) pairs, so structural equality is
     semantic equality.  ``lookup`` is total over the primes, including 2.
     A default of -1 with finitely many +1 exceptions is just as legal as
-    the usual all-but-finitely +1 points.
+    the usual all-but-finitely +1 points.  The two text forms, a JSON
+    document and the inline spec, are read through one entry converter.
     """
 
     default: Sign = 1
@@ -111,9 +123,7 @@ class RectorInvariant:
             if len(pair) != 2:
                 raise ValueError(f"exception must be a (prime, sign) pair, got {item!r}")
             p, sign = pair
-            if not is_prime(p):
-                raise ValueError(f"exception keys must be prime, got {p!r}")
-            if p in seen:
+            if check_prime("exception key", p) in seen:
                 raise ValueError(f"duplicate exception for prime {p}")
             seen.add(p)
             check_sign(sign)
@@ -131,9 +141,7 @@ class RectorInvariant:
 
     def lookup(self, p: int) -> Sign:
         """The sign invariant at the prime p."""
-        if not is_prime(p):
-            raise ValueError(f"invariants are indexed by primes, got {p!r}")
-        return self.exception_map().get(p, self.default)
+        return self.exception_map().get(check_prime("p", p), self.default)
 
     def exception_map(self) -> dict[int, Sign]:
         return dict(self.exceptions)
@@ -148,9 +156,40 @@ class RectorInvariant:
     def from_json_dict(cls, data: Mapping) -> "RectorInvariant":
         try:
             default = sign_from_str(data["default"])
-            exceptions = [(int(p), sign_from_str(s)) for p, s in data.get("exceptions", {}).items()]
+            exceptions = [_entry(p, s) for p, s in data.get("exceptions", {}).items()]
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed genus document: {data!r}") from exc
+        return cls(default, exceptions)
+
+    def to_spec(self) -> str:
+        """The inline form ``from_spec`` reads, e.g. ``"3:-1,7:-1;default=+1"``."""
+        tail = f"default={sign_to_str(self.default)}"
+        body = ",".join(f"{p}:{sign_to_str(s)}" for p, s in self.exceptions)
+        return f"{body};{tail}" if body else tail
+
+    @classmethod
+    def from_spec(cls, spec: str) -> "RectorInvariant":
+        """Read the inline form ``"p1:s1,p2:s2;default=s"``; whitespace around a part is ignored.
+
+        The default part is required; the exception list may be empty, e.g.
+        ``"default=+1"`` or ``"3:-1,7:+1;default=+1"``.
+        """
+        default = None
+        exceptions = []
+        for part in check_type("spec", spec, str).split(";"):
+            part = part.strip()
+            if part.startswith("default="):
+                if default is not None:
+                    raise ValueError(f"duplicate default in genus spec {spec!r}")
+                default = sign_from_str(part[len("default=") :].strip())
+                continue
+            for entry in filter(None, (entry.strip() for entry in part.split(","))):
+                prime_text, sep, sign_text = entry.partition(":")
+                if not sep:
+                    raise ValueError(f"bad genus entry {entry!r}, expected 'prime:sign'")
+                exceptions.append(_entry(prime_text.strip(), sign_text.strip()))
+        if default is None:
+            raise ValueError(f"genus spec {spec!r} is missing 'default=+1' or 'default=-1'")
         return cls(default, exceptions)
 
 
@@ -210,7 +249,7 @@ def psi_then_pullback(p: int, epsilon: Sign, f: DegreeMapModel) -> TruncatedSeri
     S^p + 2*epsilon*p*S^((p+1)/2) in (Z/p^2)[t]/(t^(p+2)).
     """
     check_sign(epsilon)
-    check_odd_prime(p)
+    check_prime("p", p, 3)
     check_degree_prime_to(check_type("f", f, DegreeMapModel).degree, p)
     return _lhs(p, epsilon, _pullback(p, f))
 
@@ -220,7 +259,7 @@ def pullback_then_psi(p: int, f: DegreeMapModel) -> TruncatedSeries:
 
     A residue series mod p^2 in (Z/p^2)[t]/(t^(p+2)).
     """
-    check_odd_prime(p)
+    check_prime("p", p, 3)
     return psi_apply(p, _pullback(p, check_type("f", f, DegreeMapModel)))
 
 

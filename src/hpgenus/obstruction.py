@@ -27,7 +27,7 @@ from .genus import (
     _pullback,
     check_degree,
     check_degree_prime_to,
-    check_odd_prime,
+    check_prime,
     check_sign,
     random_degree_map,
     sign_to_str,
@@ -64,7 +64,7 @@ def legendre(k: int, p: int) -> Sign:
     p must be an odd prime not dividing k; the degenerate symbol-0 case is
     rejected rather than returned.
     """
-    check_odd_prime(p)
+    check_prime("p", p, 3)
     check_degree_prime_to(k, p)
     return _symbol(k, p)
 
@@ -97,7 +97,7 @@ def compatible_bruteforce(
     ``psi_then_pullback`` and ``psi_apply`` for ``pullback_then_psi``.
     """
     check_sign(epsilon)
-    check_odd_prime(p)
+    check_prime("p", p, 3)
     check_degree_prime_to(k, p)
     check_int("trials", trials, 1)
     check_int("seed", seed)
@@ -150,9 +150,9 @@ def admissible(genus: RectorInvariant, k: int, primes: Iterable[int]) -> Verdict
     rejected rather than answered vacuously.
     """
     check_type("genus", genus, RectorInvariant)
-    tested = sorted({check_int("prime", p) for p in check_iterable("primes", primes)})
+    tested = sorted({check_int("p", p) for p in check_iterable("primes", primes)})
     for p in tested:
-        check_odd_prime(p)
+        check_prime("p", p, 3)
     return _admissible(genus, k, tested)
 
 
@@ -244,7 +244,7 @@ def example_xp(p: int) -> tuple[RectorInvariant, int]:
     non-residue mod p, so ``compatible(p, -1, k)`` holds by construction and
     the single-prime test cannot rule out a map of that degree.
     """
-    check_odd_prime(p)
+    check_prime("p", p, 3)
     point = RectorInvariant._trusted(1, ((p, -1),))
     for k in range(2, p):
         if _symbol(k, p) == -1:

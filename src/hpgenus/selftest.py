@@ -66,6 +66,7 @@ def _random_reduced(rng: random.Random, order: int) -> TruncatedSeries:
 
 def ring_axiom_suite(seed: int = 0) -> SuiteResult:
     """Ring axioms, composition associativity, and reduction laws on random inputs."""
+    check_int("seed", seed)
     rec = SuiteResult("ring-axioms")
     rng = random.Random(f"{seed}:ring")
     for _ in range(RING_TRIALS):
@@ -104,6 +105,7 @@ def ring_axiom_suite(seed: int = 0) -> SuiteResult:
 
 def adams_law_suite(seed: int = 0) -> SuiteResult:
     """psi^a psi^b = psi^(ab), psi^1 = id, and ring-endomorphism behaviour."""
+    check_int("seed", seed)
     rec = SuiteResult("adams-laws")
     for a in range(1, ADAMS_MAX_INDEX + 1):
         for b in range(1, ADAMS_MAX_INDEX + 1):
@@ -137,6 +139,8 @@ def adams_law_suite(seed: int = 0) -> SuiteResult:
 
 def frobenius_suite(max_prime: int = MAX_PRIME, seed: int = 0) -> SuiteResult:
     """psi^p(f) = f^p mod p across primes up to max_prime and random f."""
+    check_int("max_prime", max_prime)
+    check_int("seed", seed)
     rec = SuiteResult("frobenius")
     primes = ([2] if max_prime >= 2 else []) + odd_primes_upto(max_prime)
     rng = random.Random(f"{seed}:frobenius")

@@ -19,6 +19,8 @@ from hpgenus.obstruction import TRIALS, admissible, compatible, example_xp, forc
 from hpgenus.primes import odd_primes_upto
 from hpgenus.selftest import MAX_DEGREE, MAX_PRIME
 
+from oracles import trial_division_odd_prime_factors
+
 SEED = 0
 
 
@@ -168,24 +170,10 @@ def test_criterion_8_forced_genus_census():
     started = time.perf_counter()
     failures = []
 
-    def odd_prime_factor_count(n):
-        n = abs(n)
-        count = 0
-        d = 3
-        while n % 2 == 0:
-            n //= 2
-        while d * d <= n:
-            if n % d == 0:
-                count += 1
-                while n % d == 0:
-                    n //= d
-            d += 2
-        return count + (1 if n > 1 else 0)
-
     for magnitude in range(1, 101):
         for k in (magnitude, -magnitude):
             report = forced_genus(k, 100)
-            expected = 1 + odd_prime_factor_count(k)
+            expected = 1 + len(trial_division_odd_prime_factors(k))
             if report.free_count_total != expected:
                 failures.append((k, report.free_count_total, expected))
             if report.max_surviving != 2**expected:

@@ -4,12 +4,12 @@ The callables are every function in ``hpgenus.__all__``, the three input
 constructors ``TruncatedSeries``, ``RectorInvariant`` and ``DegreeMapModel``,
 the named ``TruncatedSeries`` methods (``zero``, ``one``, ``monomial``,
 ``coefficient``, ``reduce``, ``compose``, ``__pow__``), and
-``RectorInvariant.lookup``, ``RectorInvariant.from_json_dict`` and
-``DegreeMapModel.as_series``.  ``Verdict`` and ``ForcedGenusReport`` are
-outputs, not inputs, so they are out of scope, and so are ``Sign`` and
-``Coefficient``, which are ``int`` itself.  The operator overloads keep
-Python's contract instead: a foreign operand makes them return
-``NotImplemented``.
+``RectorInvariant.lookup``, ``RectorInvariant.from_json_dict``,
+``RectorInvariant.from_spec`` and ``DegreeMapModel.as_series``.
+``Verdict`` and ``ForcedGenusReport`` are outputs, not inputs, so they are
+out of scope, and so are ``Sign`` and ``Coefficient``, which are ``int``
+itself.  The operator overloads keep Python's contract instead: a foreign
+operand makes them return ``NotImplemented``.
 
 Each argument is drawn from bools, floats, None, strings, 0, negatives,
 small ints and primes, non-iterables, valid library objects, and lists,
@@ -57,6 +57,7 @@ CALLABLES = [
     SERIES.__pow__,
     POINT.lookup,
     RectorInvariant.from_json_dict,
+    RectorInvariant.from_spec,
     MAP.as_series,
 ]
 

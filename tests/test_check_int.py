@@ -26,6 +26,8 @@ from hpgenus.genus import (
 )
 from hpgenus.obstruction import admissible, compatible_bruteforce, forced_genus
 from hpgenus.primes import distinct_odd_prime_factors, odd_primes_upto
+# bound here, not looked up in selftest: the no_suite fixture replaces selftest.ring_axiom_suite
+from hpgenus.selftest import adams_law_suite, frobenius_suite, ring_axiom_suite
 from hpgenus.series import TruncatedSeries
 
 F = TruncatedSeries(4, [0, 1, 2])
@@ -53,6 +55,10 @@ SITES = [
     ("run_all-trials", "trials", lambda v: selftest.run_all(trials=v), 1),
     ("run_all-seed", "seed", lambda v: selftest.run_all(seed=v), None),
     ("lemma-max_degree", "max_degree", lambda v: selftest.lemma_equivalence_suite(3, v, 1), 1),
+    ("ring-seed", "seed", ring_axiom_suite, None),
+    ("adams-seed", "seed", adams_law_suite, None),
+    ("frobenius-max_prime", "max_prime", frobenius_suite, None),
+    ("frobenius-seed", "seed", lambda v: frobenius_suite(3, v), None),
 ]
 
 
@@ -138,12 +144,17 @@ LEAKS = [
     ),
     *[
         pytest.param(
-            "prime must be an integer",
+            "p must be an integer",
             lambda junk=junk: admissible(POINT, 5, [3, junk]),
             id=f"admissible-prime-{junk!r}",
         )
         for junk in ("a", None)
     ],
+    pytest.param(
+        "max_prime must be an integer",
+        lambda: frobenius_suite("x"),
+        id="frobenius_suite-max_prime-'x'",
+    ),
     pytest.param(
         "order must be an integer >= 1", lambda: psi_generator(2, 1.5), id="psi_generator-order"
     ),

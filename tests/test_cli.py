@@ -65,7 +65,7 @@ class TestVerifyLemma:
             capsys, "verify-lemma", "--prime", "4", "--degree", "1", "--epsilon", "+1"
         )
         assert code == 1
-        assert "odd prime" in err
+        assert "p must be a prime >= 3, got 4" in err
 
     def test_degree_sharing_factor_exits_one(self, capsys):
         code, _, err = run_cli(
@@ -332,6 +332,26 @@ class TestAdmissible:
             )
             assert code == 1
             assert "duplicate exception for prime 3" in err
+
+    def test_bad_genus_key_has_one_message_in_both_forms(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"default": "+1", "exceptions": {"x": "-1"}}))
+        for source in (("--genus-file", str(path)), ("--genus", "x:-1;default=+1")):
+            code, _, err = run_cli(
+                capsys, "admissible", "--degree", "2", *source, "--primes", "3"
+            )
+            assert code == 1
+            assert err == "hpgenus: error: exception key must be a prime, got 'x'\n"
+
+    def test_deeply_nested_genus_file_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run_cli(
+            capsys, "admissible", "--degree", "2", "--genus-file", str(path), "--primes", "3"
+        )
+        assert code == 1
+        assert err.startswith("hpgenus: error: malformed genus document")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_missing_genus_file_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -601,15 +621,15 @@ class TestDeterminismAndPlumbing:
         assert json.loads(proc.stdout)["witness_degree"] == 2
 
     def test_genus_spec_parser(self):
-        point = cli.parse_genus_spec("3:-1,7:+1;default=-1")
+        point = genus.RectorInvariant.from_spec("3:-1,7:+1;default=-1")
         assert point.default == -1
         # the 3:-1 entry equals the default, so canonical form drops it
         assert point.exception_map() == {7: 1}
         assert point.lookup(3) == -1
         with pytest.raises(ValueError):
-            cli.parse_genus_spec("3:-1;default=+1;default=-1")
+            genus.RectorInvariant.from_spec("3:-1;default=+1;default=-1")
         with pytest.raises(ValueError):
-            cli.parse_genus_spec("3=-1;default=+1")
+            genus.RectorInvariant.from_spec("3=-1;default=+1")
 
 
 class TestParserReuse:

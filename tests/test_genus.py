@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -14,6 +15,7 @@ from hpgenus.genus import (
     sign_to_str,
 )
 from hpgenus.obstruction import compatible
+from hpgenus.primes import odd_primes_upto
 from hpgenus.series import TruncatedSeries
 
 from oracles import psi_then_pullback_exact, pullback_then_psi_exact
@@ -96,6 +98,56 @@ class TestRectorInvariant:
             )
 
 
+points = st.builds(
+    RectorInvariant,
+    st.sampled_from([1, -1]),
+    st.dictionaries(
+        st.sampled_from([2] + odd_primes_upto(200)), st.sampled_from([1, -1]), max_size=6
+    ),
+)
+
+
+class TestTextForms:
+    """The inline spec and the JSON document read back what they write, and a bad key
+    gets one message whichever form carries it."""
+
+    @given(points)
+    def test_spec_reads_what_it_writes(self, point):
+        assert RectorInvariant.from_spec(point.to_spec()) == point
+
+    @given(points)
+    def test_json_reads_what_it_writes(self, point):
+        assert RectorInvariant.from_json_dict(point.to_json_dict()) == point
+
+    @pytest.mark.parametrize("key", ["x", "3.5", ""])
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda key: RectorInvariant.from_spec(f"{key}:-1;default=+1"),
+            lambda key: RectorInvariant.from_json_dict(
+                {"default": "+1", "exceptions": {key: "-1"}}
+            ),
+        ],
+        ids=["spec", "json"],
+    )
+    def test_bad_key_has_one_message(self, read, key):
+        with pytest.raises(ValueError) as got:
+            read(key)
+        assert str(got.value) == f"exception key must be a prime, got {key!r}"
+
+    @pytest.mark.parametrize(
+        "read, message",
+        [
+            (lambda: RectorInvariant.from_spec(None), "spec must be a str, got None"),
+            (lambda: RectorInvariant.from_json_dict({"default": None}), "sign must be"),
+        ],
+        ids=["spec-None", "json-default-None"],
+    )
+    def test_non_text_is_a_value_error(self, read, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            read()
+
+
 class TestDegreeMapModel:
     def test_zero_degree_rejected(self):
         with pytest.raises(ValueError, match="non-zero"):
@@ -151,9 +203,9 @@ class TestPsiThenPullback:
             psi_then_pullback(3, 1, DegreeMapModel(6))
 
     def test_even_or_composite_prime_rejected(self):
-        with pytest.raises(ValueError, match="odd prime"):
+        with pytest.raises(ValueError, match="p must be a prime >= 3"):
             psi_then_pullback(2, 1, DegreeMapModel(1))
-        with pytest.raises(ValueError, match="odd prime"):
+        with pytest.raises(ValueError, match="p must be a prime >= 3"):
             psi_then_pullback(9, 1, DegreeMapModel(1))
 
     def test_bad_sign_rejected(self):

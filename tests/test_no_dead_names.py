@@ -3,6 +3,8 @@
 One integer rule: ``isinstance(..., bool)`` appears only in ``check_int`` and ``is_prime``.
 One argument boundary: ``isinstance`` appears only in the argument rules, ``is_prime``, the
 operator overloads and ``RectorInvariant``'s choice between a mapping and pairs.
+One prime rule: ``is_prime`` is called only by ``genus.check_prime``, by ``check_frobenius``
+and by the factorizer.
 """
 
 import ast
@@ -35,6 +37,14 @@ TYPE_TESTS = {
     ("series.py", "TruncatedSeries.__mul__"),
     ("series.py", "TruncatedSeries.__eq__"),
     ("genus.py", "RectorInvariant.__post_init__"),
+}
+
+#: where ``is_prime(`` may be called: the prime rule; ``check_frobenius``, which cannot import
+#: the rule because genus imports adams; and the factorizer, which tests its cofactors
+PRIME_TESTS = {
+    ("genus.py", "check_prime"),
+    ("adams.py", "check_frobenius"),
+    ("primes.py", "distinct_odd_prime_factors"),
 }
 
 
@@ -100,6 +110,13 @@ def _is_bool_check(node: ast.AST) -> bool:
     return any(getattr(kind, "id", None) == "bool" for kind in kinds)
 
 
+def _is_prime_test(node: ast.AST) -> bool:
+    """Whether node is a call ``is_prime(...)`` or ``<module>.is_prime(...)``."""
+    if not isinstance(node, ast.Call):
+        return False
+    return "is_prime" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
 def _owners(tree: ast.AST, matches, owner=None) -> list:
     """The innermost function or class around each node that matches, by its dotted name
     (``Class.method``); None at module level."""
@@ -163,3 +180,10 @@ def test_types_are_tested_by_the_argument_rules_only():
         (path.name, owner) for path in SOURCES for owner in _owners(_tree(path), _is_type_test)
     }
     assert found == TYPE_TESTS, f"isinstance outside the listed places: {found ^ TYPE_TESTS}"
+
+
+def test_primes_are_tested_by_the_prime_rule_only():
+    found = {
+        (path.name, owner) for path in SOURCES for owner in _owners(_tree(path), _is_prime_test)
+    }
+    assert found == PRIME_TESTS, f"is_prime called outside the listed places: {found ^ PRIME_TESTS}"

@@ -11,7 +11,7 @@ from hpgenus.genus import (
     DegreeMapModel,
     RectorInvariant,
     check_degree_prime_to,
-    check_odd_prime,
+    check_prime,
     check_sign,
     psi_then_pullback,
     pullback_then_psi,
@@ -397,7 +397,7 @@ class TestOneValidatorPerFact:
     )
     def test_not_an_odd_prime_has_one_message(self, call, p):
         with pytest.raises(ValueError) as expected:
-            check_odd_prime(p)
+            check_prime("p", p, 3)
         with pytest.raises(ValueError) as got:
             call(p)
         assert str(got.value) == str(expected.value)
