@@ -30,6 +30,7 @@ then, per trial, expands each route once from S, as the public routes do:
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -83,12 +84,14 @@ def sign_from_str(text: str) -> int:
 
 
 def _entry(prime_text, sign_text) -> tuple:
-    # one (prime, sign) entry of either genus text form: a key that int() refuses is kept as
-    # it is, so that the prime rule in RectorInvariant rejects it with the same message
-    try:
-        prime_text = int(prime_text)
-    except ValueError:
-        pass
+    # one (prime, sign) entry of either genus text form: a string of ASCII digits is read as
+    # an int; any other key is kept as it is, so that the prime rule in RectorInvariant
+    # accepts an int key that is not a bool and rejects the rest, naming the key as given
+    if isinstance(prime_text, str) and prime_text.isascii() and prime_text.isdigit():
+        try:
+            prime_text = int(prime_text)
+        except ValueError:  # more digits than int() converts
+            pass
     return prime_text, sign_from_str(sign_text)
 
 
@@ -158,7 +161,10 @@ class RectorInvariant:
             default = sign_from_str(data["default"])
             exceptions = [_entry(p, s) for p, s in data.get("exceptions", {}).items()]
         except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed genus document: {data!r}") from exc
+            raise ValueError(
+                f"malformed genus document of type {type(data).__name__}: expected an object "
+                "with a 'default' sign and an optional 'exceptions' object"
+            ) from exc
         return cls(default, exceptions)
 
     def to_spec(self) -> str:
@@ -273,12 +279,14 @@ def pullback_then_psi(p: int, f: DegreeMapModel) -> TruncatedSeries:
 # bits of one 32-bit MT19937 word (M. Matsumoto and T. Nishimura, ACM TOMACS
 # 8, 1998) and draws again while they are 19 or more.  CPython's
 # ``getrandbits(32 * j)`` returns the next j words, the first in the lowest
-# bits, so the values still missing are drawn as one int, each word read by
-# its top byte, and the rejected words are made up by the next batch: the
-# same values, and the same generator state afterwards.
+# bits, so the values still missing are drawn as one int and each word is read
+# by its top byte.  ``_SIGNED`` translates that byte straight to the slot's
+# value as a signed byte, which ``array("b")`` reads back, and the rejected
+# bytes are deleted; the next batch makes up for them: the same values, and
+# the same generator state afterwards.
 DRAW_BOUND = 9
-#: top byte b of a word -> its top five bits b >> 3; the rejected bytes are deleted
-_TOP_BITS = bytes(b >> 3 for b in range(256))
+#: top byte b of a word -> the slot value (b >> 3) - DRAW_BOUND, as a two's-complement byte
+_SIGNED = bytes((b >> 3) - DRAW_BOUND & 0xFF for b in range(256))
 _REJECTED = bytes(range((2 * DRAW_BOUND + 1) << 3, 256))
 
 
@@ -291,10 +299,10 @@ def random_degree_map(rng: random.Random, degree: int, order: int) -> DegreeMapM
     """
     check_type("rng", rng, random.Random)
     check_degree(degree)
-    higher: list[int] = []
+    higher = array("b")
     need = check_int("order", order, 1) - 3
     while need > 0:
         words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        higher += [v - DRAW_BOUND for v in words[3::4].translate(_TOP_BITS, _REJECTED)]
+        higher.frombytes(words[3::4].translate(_SIGNED, _REJECTED))
         need = order - 3 - len(higher)
     return DegreeMapModel._trusted(degree, tuple(higher))

@@ -5,9 +5,12 @@ An element of Z[[t]]/(t^N) is stored as a tuple of exactly N Python ints
 powers never overflow or round.  ``reduce(m)`` maps it into the residue ring
 (Z/m)[t]/(t^N): the result keeps its modulus, holds canonical residues in
 [0, m), and every product, power, sum and composition with it stays in that
-ring.  Reduction and truncation are ring homomorphisms, so reducing first
-and computing mod m gives exactly the residues of the exact computation, on
-coefficients that never grow past m.
+ring.  There every pass over the coefficients (a sum, a negation, a scaling
+by an int, each term of a composition) reduces mod m in the same pass that
+computes them, so no list is built and then reduced again.  Reduction and
+truncation are ring homomorphisms, so reducing first and computing mod m
+gives exactly the residues of the exact computation, on coefficients that
+never grow past m.
 
 The generator t is graded so that t^n sits in skeletal filtration degree 2n.
 The ideal of filtration >= s is therefore spanned by the t^n with 2n >= s,
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from operator import add
+from itertools import compress, count
 from typing import Iterable, Optional, Sequence
 
 #: Coefficients are plain Python ints: signed, arbitrary precision.
@@ -194,13 +197,6 @@ class TruncatedSeries:
         series.modulus = modulus
         return series
 
-    def _like(self, coeffs: Iterable[int]) -> "TruncatedSeries":
-        """A series in this one's ring; coefficients are reduced if it has a modulus."""
-        m = self.modulus
-        if m is not None:
-            coeffs = [c % m for c in coeffs]
-        return TruncatedSeries._trusted(self.order, coeffs, m)
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -236,17 +232,24 @@ class TruncatedSeries:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
+        n, m = self.order, self.modulus
         if isinstance(other, int):
-            return self._like((self.coeffs[0] + other,) + self.coeffs[1:])
-        if not isinstance(other, TruncatedSeries):
+            c = self.coeffs[0] + other
+            coeffs = (c if m is None else c % m,) + self.coeffs[1:]
+        elif isinstance(other, TruncatedSeries):
+            _require_ring(n, m, other)
+            pairs = zip(self.coeffs, other.coeffs)
+            coeffs = [x + y for x, y in pairs] if m is None else [(x + y) % m for x, y in pairs]
+        else:
             return NotImplemented
-        _require_ring(self.order, self.modulus, other)
-        return self._like([x + y for x, y in zip(self.coeffs, other.coeffs)])
+        return TruncatedSeries._trusted(n, coeffs, m)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return self._like([-c for c in self.coeffs])
+        m = self.modulus
+        coeffs = [-c for c in self.coeffs] if m is None else [-c % m for c in self.coeffs]
+        return TruncatedSeries._trusted(self.order, coeffs, m)
 
     def __sub__(self, other):
         if not isinstance(other, (int, TruncatedSeries)):
@@ -258,7 +261,13 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self._like([other * c for c in self.coeffs])
+            m = self.modulus
+            coeffs = (
+                [other * c for c in self.coeffs]
+                if m is None
+                else [other * c % m for c in self.coeffs]
+            )
+            return TruncatedSeries._trusted(self.order, coeffs, m)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         _require_ring(self.order, self.modulus, other)
@@ -272,10 +281,10 @@ class TruncatedSeries:
         check_int("exponent", exponent, 0)
         n, m = self.order, self.modulus
         if exponent == 0:
-            return self._like((1,) + (0,) * (n - 1))
+            return TruncatedSeries._trusted(n, (1 if m is None else 1 % m,) + (0,) * (n - 1), m)
         # self = t^v * u, so self^e = t^(v e) * u^e, and u^e is only needed
         # below t^(n - v e): one pow of u_0 at order 1, else binary powering
-        v = next((i for i, c in enumerate(self.coeffs) if c), n)
+        v = next(compress(count(), self.coeffs), n)
         low = v * exponent
         if low >= n:
             return TruncatedSeries._trusted(n, (0,) * n, m)
@@ -305,18 +314,21 @@ class TruncatedSeries:
 
         Unchecked: the scalars are ints and the terms are in that ring.  A
         term with a zero scalar is skipped unread, the others are summed in
-        one pass each and reduced once; with none left the result is zero.
+        one pass each, and in a residue ring each pass also reduces; with
+        none left the result is zero.
         """
-        acc = None
+        m, acc = modulus, None
         for c, term in zip(scalars, terms):
-            if c:
-                scaled = map(c.__mul__, term.coeffs)
-                acc = list(scaled) if acc is None else list(map(add, acc, scaled))
-        if acc is None:
-            return cls._trusted(order, (0,) * order, modulus)
-        if modulus is not None:
-            acc = [c % modulus for c in acc]
-        return cls._trusted(order, acc, modulus)
+            if not c:
+                continue
+            row = term.coeffs
+            if acc is None:
+                acc = [c * x for x in row] if m is None else [c * x % m for x in row]
+            elif m is None:
+                acc = [a + c * x for a, x in zip(acc, row)]
+            else:
+                acc = [(a + c * x) % m for a, x in zip(acc, row)]
+        return cls._trusted(order, (0,) * order if acc is None else acc, m)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner): the sum of self's coefficients times the powers of inner.

@@ -353,6 +353,17 @@ class TestAdmissible:
         assert err.startswith("hpgenus: error: malformed genus document")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_large_malformed_genus_file_has_a_short_message(self, capsys, tmp_path):
+        # the message names the document's type, never echoes the document
+        path = tmp_path / "zeros.json"
+        path.write_text(json.dumps([0] * 200_000))
+        code, _, err = run_cli(
+            capsys, "admissible", "--degree", "2", "--genus-file", str(path), "--primes", "3"
+        )
+        assert code == 1
+        assert err.startswith("hpgenus: error: malformed genus document of type list")
+        assert err.count("\n") == 1 and len(err) < 200
+
     def test_missing_genus_file_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

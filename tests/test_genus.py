@@ -119,21 +119,41 @@ class TestTextForms:
     def test_json_reads_what_it_writes(self, point):
         assert RectorInvariant.from_json_dict(point.to_json_dict()) == point
 
-    @pytest.mark.parametrize("key", ["x", "3.5", ""])
+    @staticmethod
+    def read_spec(key):
+        return RectorInvariant.from_spec(f"{key}:-1;default=+1")
+
+    @staticmethod
+    def read_json(key):
+        return RectorInvariant.from_json_dict({"default": "+1", "exceptions": {key: "-1"}})
+
+    # a key is an int that is not a bool or a string of ASCII digits; anything else reaches
+    # the prime rule as it was given.  The spec strips whitespace around a part, so " 3" is
+    # a JSON-only row, as are the keys that are not strings
     @pytest.mark.parametrize(
-        "read",
-        [
-            lambda key: RectorInvariant.from_spec(f"{key}:-1;default=+1"),
-            lambda key: RectorInvariant.from_json_dict(
-                {"default": "+1", "exceptions": {key: "-1"}}
-            ),
-        ],
-        ids=["spec", "json"],
+        "key",
+        ["x", "3.5", "", "1_3", "+3", "\u0663", "9" * 5000],
+        ids=["x", "3.5", "empty", "1_3", "+3", "arabic-indic-3", "5000-digits"],
     )
+    @pytest.mark.parametrize("read", ["read_spec", "read_json"], ids=["spec", "json"])
     def test_bad_key_has_one_message(self, read, key):
         with pytest.raises(ValueError) as got:
-            read(key)
+            getattr(self, read)(key)
         assert str(got.value) == f"exception key must be a prime, got {key!r}"
+
+    @pytest.mark.parametrize("key", [3.5, True, " 3"], ids=["float", "bool", "space-3"])
+    def test_bad_json_key_is_named_as_given(self, key):
+        with pytest.raises(ValueError) as got:
+            self.read_json(key)
+        assert str(got.value) == f"exception key must be a prime, got {key!r}"
+
+    @pytest.mark.parametrize("read", ["read_spec", "read_json"], ids=["spec", "json"])
+    def test_leading_zero_reads_as_the_prime(self, read):
+        # "03" is a string of ASCII digits, so it is read; to_spec never writes one
+        assert getattr(self, read)("03") == RectorInvariant(1, {3: -1})
+        assert RectorInvariant.from_json_dict({"default": "+1", "exceptions": {3: "-1"}}) == (
+            RectorInvariant(1, {3: -1})
+        )
 
     @pytest.mark.parametrize(
         "read, message",

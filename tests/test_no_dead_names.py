@@ -2,7 +2,8 @@
 
 One integer rule: ``isinstance(..., bool)`` appears only in ``check_int`` and ``is_prime``.
 One argument boundary: ``isinstance`` appears only in the argument rules, ``is_prime``, the
-operator overloads and ``RectorInvariant``'s choice between a mapping and pairs.
+operator overloads, ``RectorInvariant``'s choice between a mapping and pairs and the genus
+entry converter's test for a digit string.
 One prime rule: ``is_prime`` is called only by ``genus.check_prime``, by ``check_frobenius``
 and by the factorizer.
 """
@@ -25,8 +26,9 @@ SPANS_PATCHED = {
 BOOL_CHECKS = {("series.py", "check_int"), ("primes.py", "is_prime")}
 
 #: where any ``isinstance`` may appear: the argument rules; the primality predicate; the
-#: operator overloads, which return NotImplemented for a foreign operand; and the one place
-#: that tells a {prime: sign} mapping from (prime, sign) pairs
+#: operator overloads, which return NotImplemented for a foreign operand; the one place
+#: that tells a {prime: sign} mapping from (prime, sign) pairs; and the genus entry
+#: converter, which runs its digit test on strings only
 TYPE_TESTS = {
     ("series.py", "check_int"),
     ("series.py", "check_type"),
@@ -37,6 +39,7 @@ TYPE_TESTS = {
     ("series.py", "TruncatedSeries.__mul__"),
     ("series.py", "TruncatedSeries.__eq__"),
     ("genus.py", "RectorInvariant.__post_init__"),
+    ("genus.py", "_entry"),
 }
 
 #: where ``is_prime(`` may be called: the prime rule; ``check_frobenius``, which cannot import

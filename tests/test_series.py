@@ -333,6 +333,28 @@ class TestKernel:
         assert _mul(ra.coeffs, rb.coeffs, order, m) == expected
         assert list((ra * ra).coeffs) == [c % m for c in schoolbook_mul(a, a, order)]
 
+    @given(st.integers(1, 12), st.sampled_from(MODULI), st.data())
+    def test_residue_sums_and_scalings_match_the_integer_ops(self, order, m, data):
+        # each of these reduces in the pass that computes it: the result must be the
+        # canonical residues of the integer operation, for any scalar sign and size
+        a = TruncatedSeries(order, data.draw(coefficient_lists(order)))
+        b = TruncatedSeries(order, data.draw(coefficient_lists(order)))
+        scalar = data.draw(
+            st.one_of(st.just(0), st.integers(-9, 9), st.integers(m, 3 * m), wide_ints)
+        )
+        ra, rb = a.reduce(m), b.reduce(m)
+        for got, exact in (
+            (ra + rb, a + b),
+            (ra - rb, a - b),
+            (-ra, -a),
+            (ra * scalar, a * scalar),
+            (scalar * ra, scalar * a),
+            (ra + scalar, a + scalar),
+            (scalar - ra, scalar - a),
+        ):
+            assert got.modulus == m
+            assert got.coeffs == exact.reduce(m).coeffs
+
     @given(st.integers(1, 8), st.sampled_from(MODULI), st.integers(0, 9), st.data())
     def test_residue_powers_match_schoolbook(self, order, m, e, data):
         a = data.draw(coefficient_lists(order))
