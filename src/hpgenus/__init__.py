@@ -31,12 +31,11 @@ from .obstruction import (
     legendre,
 )
 from .primes import is_prime, odd_primes_upto
-from .series import Coefficient, TruncatedSeries
+from .series import TruncatedSeries
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Coefficient",
     "DegreeMapModel",
     "ForcedGenusReport",
     "RectorInvariant",

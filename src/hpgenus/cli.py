@@ -59,6 +59,9 @@ MAX_DEGREE_CEILING = 200
 #: the largest ``--bound`` admissible and forced-genus accept: the sieve up to it
 #: takes a few seconds and under 200 MB
 BOUND_CEILING = 10**7
+#: the most characters of an error message the CLI writes: a longer one is cut there and
+#: ends with its full length, so an input it echoes cannot flood stderr
+MESSAGE_CEILING = 500
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,7 +69,13 @@ class _Parser(argparse.ArgumentParser):
     # says no" here)
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {_bounded(message)}\n")
+
+
+def _bounded(message: str) -> str:
+    if len(message) <= MESSAGE_CEILING:
+        return message
+    return f"{message[:MESSAGE_CEILING]}... ({len(message)} characters in all)"
 
 
 def _sign_arg(text: str):
@@ -83,12 +92,22 @@ def _prime_list_arg(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    # json.load keeps the last of a repeated key; a genus document must not repeat one
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"duplicate key {key!r} in genus document")
+        seen.add(key)
+    return dict(pairs)
+
+
 def _load_genus(args) -> RectorInvariant:
     if args.genus is not None:
         return RectorInvariant.from_spec(args.genus)
     with open(args.genus_file, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError("malformed genus document: nested too deeply") from None
     return RectorInvariant.from_json_dict(data)
@@ -342,7 +361,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"hpgenus: error: {exc}", file=sys.stderr)
+        print(f"hpgenus: error: {_bounded(str(exc))}", file=sys.stderr)
         return EXIT_USAGE
 
 

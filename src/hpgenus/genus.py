@@ -144,10 +144,7 @@ class RectorInvariant:
 
     def lookup(self, p: int) -> Sign:
         """The sign invariant at the prime p."""
-        return self.exception_map().get(check_prime("p", p), self.default)
-
-    def exception_map(self) -> dict[int, Sign]:
-        return dict(self.exceptions)
+        return dict(self.exceptions).get(check_prime("p", p), self.default)
 
     def to_json_dict(self) -> dict:
         return {

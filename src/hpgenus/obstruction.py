@@ -165,7 +165,7 @@ def _admissible(genus: RectorInvariant, k: int, tested: list[int]) -> Verdict:
     skipped = tuple(p for p in tested if k % p == 0)
     if len(skipped) == len(tested):
         raise ValueError(f"no primes to test: every given prime divides the degree {k}")
-    signs = genus.exception_map()
+    signs = dict(genus.exceptions)
     for p in tested:
         if k % p == 0:
             continue
@@ -204,9 +204,6 @@ class ForcedGenusReport:
     def max_surviving(self) -> int:
         """Upper bound (necessary-condition only) on surviving genus points."""
         return 2**self.free_count_total
-
-    def forced_map(self) -> dict[int, Sign]:
-        return dict(self.forced)
 
     def to_json_dict(self) -> dict:
         return {

@@ -72,8 +72,8 @@ def ring_axiom_suite(seed: int = 0) -> SuiteResult:
     for _ in range(RING_TRIALS):
         n = rng.randint(1, RING_MAX_ORDER)
         a, b, c = (_random_series(rng, n) for _ in range(3))
-        zero = TruncatedSeries.zero(n)
-        one = TruncatedSeries.one(n)
+        zero = TruncatedSeries(n)
+        one = TruncatedSeries(n, (1,))
         laws = [
             ("add commutes", a + b == b + a),
             ("add associates", (a + b) + c == a + (b + c)),

@@ -42,45 +42,39 @@ from array import array
 from itertools import compress, count
 from typing import Iterable, Optional, Sequence
 
-#: Coefficients are plain Python ints: signed, arbitrary precision.
-Coefficient = int
-
 # -- the multiplication kernel ------------------------------------------------
 #
-# A slot is a whole number of bytes, so packing and unpacking are single C
-# calls: ``array`` for the slot sizes it has a typecode for, ``bytes`` joins
-# and slices beyond them.  Packed ints are always little-endian (slot 0 in
-# the lowest bits); arrays use the host's byte order and are swapped on a
-# big-endian host.
+# A slot is one 64-bit word when the values fit in one, so packing and
+# unpacking are single C calls through ``array("Q")``; a wider slot is a whole
+# number of bytes, joined and sliced as ``bytes``.  Packed ints are always
+# little-endian (slot 0 in the lowest bits); arrays use the host's byte order
+# and are swapped on a big-endian host.
 
-_ARRAY_CODES = sorted((array(code).itemsize, code) for code in "BHIQ")
+_WORD = array("Q").itemsize
 _SWAP = sys.byteorder == "big"
 
 
-def _slot(bits: int) -> tuple[int, Optional[str]]:
-    """Bytes per slot for values below 2^bits, and the array typecode of that size."""
-    for size, code in _ARRAY_CODES:
-        if 8 * size >= bits:
-            return size, code
-    return (bits + 7) // 8, None
+def _slot(bits: int) -> int:
+    """Bytes per slot for values below 2^bits: one word, or as many bytes as they need."""
+    return max(_WORD, (bits + 7) // 8)
 
 
-def _pack(coeffs: Sequence[int], size: int, code: Optional[str]) -> int:
+def _pack(coeffs: Sequence[int], size: int) -> int:
     """The int whose slot i holds coeffs[i]; every value must fit its slot unsigned."""
-    if code is None:
+    if size > _WORD:
         return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
-    words = array(code, coeffs)
+    words = array("Q", coeffs)
     if _SWAP:
         words.byteswap()
     return int.from_bytes(words, "little")
 
 
-def _slots(x: int, size: int, code: Optional[str], n: int) -> Sequence[int]:
+def _slots(x: int, size: int, n: int) -> Sequence[int]:
     """The low n slots of x as unsigned values (x < 0 reads as two's complement)."""
     data = x.to_bytes(max(size * n, x.bit_length() // 8 + 1), "little", signed=True)[: size * n]
-    if code is None:
+    if size > _WORD:
         return [int.from_bytes(data[i : i + size], "little") for i in range(0, size * n, size)]
-    words = array(code, data)
+    words = array("Q", data)
     if _SWAP:
         words.byteswap()
     return words
@@ -104,17 +98,17 @@ def _mul(a: Sequence[int], b: Sequence[int], n: int, modulus: Optional[int] = No
         # a product coefficient is a sum of at most n terms of size at most
         # top, and no input exceeds top either: all of them fit in half a slot
         top = max(1, *map(abs, a)) * max(1, *map(abs, b))
-        size, code = _slot((n * top).bit_length() + 1)
+        size = _slot((n * top).bit_length() + 1)
         half = 1 << (8 * size - 1)
         offset = int.from_bytes(half.to_bytes(size, "little") * n, "little")
-        x = _pack([c + half for c in a], size, code) - offset
-        y = x if b is a else _pack([c + half for c in b], size, code) - offset
-        return [c - half for c in _slots(x * y + offset, size, code, n)]
+        x = _pack([c + half for c in a], size) - offset
+        y = x if b is a else _pack([c + half for c in b], size) - offset
+        return [c - half for c in _slots(x * y + offset, size, n)]
     # the slot for sums of up to n products of residues mod modulus
-    size, code = _slot((n * (modulus - 1) ** 2).bit_length())
-    x = _pack(a, size, code)
-    y = x if b is a else _pack(b, size, code)
-    return [c % modulus for c in _slots(x * y, size, code, n)]
+    size = _slot((n * (modulus - 1) ** 2).bit_length())
+    x = _pack(a, size)
+    y = x if b is a else _pack(b, size)
+    return [c % modulus for c in _slots(x * y, size, n)]
 
 
 def check_int(what: str, value: int, floor: Optional[int] = None) -> int:
@@ -200,14 +194,6 @@ class TruncatedSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls(order, (1,))
-
-    @classmethod
     def monomial(cls, order: int, degree: int, coeff: int = 1) -> "TruncatedSeries":
         """coeff * t^degree; the degree must fit below the truncation order."""
         if check_int("monomial degree", degree, 0) >= check_int("order", order, 1):
@@ -221,9 +207,6 @@ class TruncatedSeries:
         if check_int("coefficient index", n, 0) >= self.order:
             raise ValueError(f"no coefficient of t^{n} in a series truncated at t^{self.order}")
         return self.coeffs[n]
-
-    def __getitem__(self, n: int) -> int:
-        return self.coefficient(n)
 
     @property
     def is_zero(self) -> bool:

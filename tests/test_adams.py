@@ -130,7 +130,7 @@ class TestApply:
 
     @pytest.mark.parametrize("modulus", [None, 9])
     def test_zero_series(self, modulus):
-        zero = TruncatedSeries.zero(6)
+        zero = TruncatedSeries(6)
         if modulus is not None:
             zero = zero.reduce(modulus)
         got = psi_apply(4, zero)
@@ -231,11 +231,11 @@ class TestFrobenius:
         assert check_frobenius(2, TruncatedSeries.monomial(6, 2))
 
     def test_zero_series(self):
-        assert check_frobenius(5, TruncatedSeries.zero(8))
+        assert check_frobenius(5, TruncatedSeries(8))
 
     def test_composite_rejected(self):
         with pytest.raises(ValueError, match="prime"):
-            check_frobenius(6, TruncatedSeries.zero(4))
+            check_frobenius(6, TruncatedSeries(4))
 
     def test_seeded_sweep(self):
         rng = random.Random("frobenius")

@@ -2,14 +2,14 @@
 
 The callables are every function in ``hpgenus.__all__``, the three input
 constructors ``TruncatedSeries``, ``RectorInvariant`` and ``DegreeMapModel``,
-the named ``TruncatedSeries`` methods (``zero``, ``one``, ``monomial``,
-``coefficient``, ``reduce``, ``compose``, ``__pow__``), and
+the named ``TruncatedSeries`` methods (``monomial``, ``coefficient``,
+``reduce``, ``compose``, ``__pow__``), and
 ``RectorInvariant.lookup``, ``RectorInvariant.from_json_dict``,
 ``RectorInvariant.from_spec`` and ``DegreeMapModel.as_series``.
 ``Verdict`` and ``ForcedGenusReport`` are outputs, not inputs, so they are
-out of scope, and so are ``Sign`` and ``Coefficient``, which are ``int``
-itself.  The operator overloads keep Python's contract instead: a foreign
-operand makes them return ``NotImplemented``.
+out of scope, and so is ``Sign``, which is ``int`` itself.  The operator
+overloads keep Python's contract instead: a foreign operand makes them
+return ``NotImplemented``.
 
 Each argument is drawn from bools, floats, None, strings, 0, negatives,
 small ints and primes, non-iterables, valid library objects, and lists,
@@ -48,8 +48,6 @@ CALLABLES = [
     TruncatedSeries,
     RectorInvariant,
     DegreeMapModel,
-    TruncatedSeries.zero,
-    TruncatedSeries.one,
     TruncatedSeries.monomial,
     SERIES.coefficient,
     SERIES.reduce,

@@ -333,6 +333,23 @@ class TestAdmissible:
             assert code == 1
             assert "duplicate exception for prime 3" in err
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"default": "+1", "exceptions": {"3": "-1", "3": "+1"}}', "'3'"),
+            ('{"default": "+1", "default": "-1"}', "'default'"),
+        ],
+    )
+    def test_genus_file_with_a_repeated_key_exits_one(self, capsys, tmp_path, text, key):
+        # the same repeats in an inline spec exit 1 too: json must not keep the last value
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        code, _, err = run_cli(
+            capsys, "admissible", "--degree", "2", "--genus-file", str(path), "--primes", "3"
+        )
+        assert code == 1
+        assert err == f"hpgenus: error: duplicate key {key} in genus document\n"
+
     def test_bad_genus_key_has_one_message_in_both_forms(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"default": "+1", "exceptions": {"x": "-1"}}))
@@ -635,12 +652,42 @@ class TestDeterminismAndPlumbing:
         point = genus.RectorInvariant.from_spec("3:-1,7:+1;default=-1")
         assert point.default == -1
         # the 3:-1 entry equals the default, so canonical form drops it
-        assert point.exception_map() == {7: 1}
+        assert dict(point.exceptions) == {7: 1}
         assert point.lookup(3) == -1
         with pytest.raises(ValueError):
             genus.RectorInvariant.from_spec("3:-1;default=+1;default=-1")
         with pytest.raises(ValueError):
             genus.RectorInvariant.from_spec("3=-1;default=+1")
+
+
+class TestBoundedEcho:
+    """An error message is cut at ``cli.MESSAGE_CEILING``, however long the input it echoes."""
+
+    LONG = "x" * 200_000
+    #: stands for the path of the genus file written from the row's document
+    FILE = object()
+    FROM_FILE = ["admissible", "--degree", "1", "--primes", "3", "--genus-file", FILE]
+    INLINE = ["admissible", "--degree", "1", "--primes", "3", "--genus"]
+
+    @pytest.mark.parametrize(
+        "argv, document",
+        [
+            (FROM_FILE, {"default": [0] * 200_000}),
+            (FROM_FILE, {"default": "+1", "exceptions": {"3": [0] * 200_000}}),
+            (FROM_FILE, {"default": "+1", "exceptions": {LONG: "-1"}}),
+            ([*INLINE, f"3:{LONG};default=+1"], None),
+            ([*INLINE, LONG], None),
+            (["admissible", "--degree", "1", "--primes", f"3,{LONG}", "--genus", "-1"], None),
+            (["verify-lemma", "--prime", "3", "--degree", "1", "--epsilon", LONG], None),
+        ],
+        ids=["file-default", "file-sign", "file-key", "spec-sign", "spec", "primes", "epsilon"],
+    )
+    def test_stderr_stays_under_1_kb(self, capsys, tmp_path, argv, document):
+        path = tmp_path / "genus.json"
+        path.write_text(json.dumps(document))
+        code, _, err = run_cli(capsys, *[str(path) if arg is self.FILE else arg for arg in argv])
+        assert code == 1
+        assert len(err.encode()) < 1024 and "characters in all)\n" in err
 
 
 class TestParserReuse:

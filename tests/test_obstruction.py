@@ -259,20 +259,20 @@ class TestAdmissible:
 class TestForcedGenus:
     def test_degree_one(self):
         report = forced_genus(1, 20)
-        assert report.forced_map() == {3: 1, 5: 1, 7: 1, 11: 1, 13: 1, 17: 1, 19: 1}
+        assert dict(report.forced) == {3: 1, 5: 1, 7: 1, 11: 1, 13: 1, 17: 1, 19: 1}
         assert report.free == (2,)
         assert report.free_count_total == 1
         assert report.max_surviving == 2
 
     def test_degree_two(self):
         report = forced_genus(2, 10)
-        assert report.forced_map() == {3: -1, 5: -1, 7: 1}
+        assert dict(report.forced) == {3: -1, 5: -1, 7: 1}
         assert report.free == (2,)
         assert report.free_count_total == 1
 
     def test_degree_six(self):
         report = forced_genus(6, 10)
-        assert report.forced_map() == {5: 1, 7: -1}
+        assert dict(report.forced) == {5: 1, 7: -1}
         assert report.free == (2, 3)
         assert report.free_count_total == 2
         assert report.max_surviving == 4
@@ -284,8 +284,8 @@ class TestForcedGenus:
 
     def test_square_factor_invariance(self):
         for k, m in [(2, 3), (5, 2), (-3, 5)]:
-            base = forced_genus(k, 60).forced_map()
-            scaled = forced_genus(k * m * m, 60).forced_map()
+            base = dict(forced_genus(k, 60).forced)
+            scaled = dict(forced_genus(k * m * m, 60).forced)
             for p, sign in base.items():
                 if (k * m * m) % p != 0 and m % p != 0:
                     assert scaled[p] == sign
