@@ -29,6 +29,7 @@ then, per trial, expands each route once from S, as the public routes do:
 
 from __future__ import annotations
 
+import bisect
 import random
 from array import array
 from dataclasses import dataclass
@@ -143,8 +144,11 @@ class RectorInvariant:
         return point
 
     def lookup(self, p: int) -> Sign:
-        """The sign invariant at the prime p."""
-        return dict(self.exceptions).get(check_prime("p", p), self.default)
+        """The sign invariant at the prime p, by a binary search of the sorted exceptions."""
+        i = bisect.bisect_left(self.exceptions, (check_prime("p", p),))
+        if i < len(self.exceptions) and self.exceptions[i][0] == p:
+            return self.exceptions[i][1]
+        return self.default
 
     def to_json_dict(self) -> dict:
         return {

@@ -14,9 +14,10 @@ never "a map exists": the test is a necessary condition only.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 # the brute force looks psi_apply up in genus, where bench/spans.py traces it
 from . import genus as _genus
@@ -56,6 +57,14 @@ def random_psi_model(*args, **kwargs):
 def _symbol(k: int, p: int) -> Sign:
     # Euler's criterion, for an odd prime p not dividing k: k^((p-1)/2) is 1 or -1 mod p
     return 1 if pow(k, (p - 1) // 2, p) == 1 else -1
+
+
+def _symbols(k: int, primes: Iterable[int]) -> Iterator[tuple[int, Sign]]:
+    # (p, (k/p)) at each p in primes not dividing k; a square k = m^2 is m^2 mod p with p not
+    # dividing m, so it reads +1 at every such p with no Euler power
+    if k > 0 and math.isqrt(k) ** 2 == k:
+        return ((p, 1) for p in primes if k % p)
+    return ((p, _symbol(k, p)) for p in primes if k % p)
 
 
 def legendre(k: int, p: int) -> Sign:
@@ -166,10 +175,7 @@ def _admissible(genus: RectorInvariant, k: int, tested: list[int]) -> Verdict:
     if len(skipped) == len(tested):
         raise ValueError(f"no primes to test: every given prime divides the degree {k}")
     signs = dict(genus.exceptions)
-    for p in tested:
-        if k % p == 0:
-            continue
-        required = _symbol(k, p)
+    for p, required in _symbols(k, tested):
         actual = signs.get(p, genus.default)
         if actual != required:
             return Verdict(
@@ -229,9 +235,9 @@ def forced_genus(k: int, bound: int) -> ForcedGenusReport:
         )
     check_int("bound", bound, 2)
     factors = distinct_odd_prime_factors(k)
-    forced = [(p, _symbol(k, p)) for p in odd_primes_upto(bound) if k % p]
+    forced = tuple(_symbols(k, odd_primes_upto(bound)))
     free = (2,) + tuple(q for q in factors if q <= bound)
-    return ForcedGenusReport(k, bound, tuple(forced), free, 1 + len(factors))
+    return ForcedGenusReport(k, bound, forced, free, 1 + len(factors))
 
 
 def example_xp(p: int) -> tuple[RectorInvariant, int]:

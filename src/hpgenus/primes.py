@@ -71,8 +71,8 @@ def odd_primes_upto(bound: int) -> list[int]:
     sieve[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [n for n in range(3, bound + 1, 2) if sieve[n]]
+            sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    return list(itertools.compress(range(3, bound + 1, 2), sieve[3::2]))
 
 
 def _rho_divisor(n: int) -> int:

@@ -77,6 +77,19 @@ class TestRectorInvariant:
         with pytest.raises(ValueError):
             RectorInvariant(1, {}).lookup(6)
 
+    @pytest.mark.parametrize("start", [0, 1], ids=["with-2", "without-2"])
+    @pytest.mark.parametrize("default", [1, -1])
+    def test_lookup_reads_a_point_with_thousands_of_exceptions(self, default, start):
+        # every other prime below 10^5, from 2 or from 3, is an exception: 4796 of them;
+        # lookup must agree with a dict of the pairs at 2, at each exception, at the primes
+        # between them and at primes beyond the last
+        primes = [2] + odd_primes_upto(10**5)
+        point = RectorInvariant(default, {p: -default for p in primes[start::2]})
+        assert len(point.exceptions) == 4796
+        expected = dict(point.exceptions)
+        for p in primes + [100003, 100019, 10**9 + 7]:
+            assert point.lookup(p) == expected.get(p, default), p
+
     def test_exceptions_sorted_canonically(self):
         point = RectorInvariant(1, {11: -1, 3: -1, 7: -1})
         assert point.exceptions == ((3, -1), (7, -1), (11, -1))

@@ -6,6 +6,8 @@ operator overloads, ``RectorInvariant``'s choice between a mapping and pairs and
 entry converter's test for a digit string.
 One prime rule: ``is_prime`` is called only by ``genus.check_prime``, by ``check_frobenius``
 and by the factorizer.
+One symbol rule: the Euler power ``_symbol`` is called only by the scan helper ``_symbols``,
+which reads a square degree's +1 without it, and by the single-prime queries.
 """
 
 import ast
@@ -48,6 +50,15 @@ PRIME_TESTS = {
     ("genus.py", "check_prime"),
     ("adams.py", "check_frobenius"),
     ("primes.py", "distinct_odd_prime_factors"),
+}
+
+#: where ``_symbol(`` may be called: the bound scans' helper, which skips the power at a
+#: square degree, so that no scan can bypass that rule; and the single-prime queries
+SYMBOL_CALLS = {
+    ("obstruction.py", "_symbols"),
+    ("obstruction.py", "legendre"),
+    ("obstruction.py", "example_xp"),
+    ("cli.py", "_cmd_example_xp"),
 }
 
 
@@ -113,11 +124,15 @@ def _is_bool_check(node: ast.AST) -> bool:
     return any(getattr(kind, "id", None) == "bool" for kind in kinds)
 
 
-def _is_prime_test(node: ast.AST) -> bool:
-    """Whether node is a call ``is_prime(...)`` or ``<module>.is_prime(...)``."""
-    if not isinstance(node, ast.Call):
-        return False
-    return "is_prime" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+def _calls(name: str):
+    """A matcher for a call ``name(...)`` or ``<module>.name(...)``."""
+
+    def matches(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        return name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    return matches
 
 
 def _owners(tree: ast.AST, matches, owner=None) -> list:
@@ -187,6 +202,17 @@ def test_types_are_tested_by_the_argument_rules_only():
 
 def test_primes_are_tested_by_the_prime_rule_only():
     found = {
-        (path.name, owner) for path in SOURCES for owner in _owners(_tree(path), _is_prime_test)
+        (path.name, owner)
+        for path in SOURCES
+        for owner in _owners(_tree(path), _calls("is_prime"))
     }
     assert found == PRIME_TESTS, f"is_prime called outside the listed places: {found ^ PRIME_TESTS}"
+
+
+def test_symbols_are_taken_by_the_symbol_rule_only():
+    found = {
+        (path.name, owner)
+        for path in SOURCES
+        for owner in _owners(_tree(path), _calls("_symbol"))
+    }
+    assert found == SYMBOL_CALLS, f"_symbol called outside the listed places: {found ^ SYMBOL_CALLS}"

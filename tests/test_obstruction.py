@@ -256,6 +256,56 @@ class TestAdmissible:
             assert admissible(point, k, primes).is_admissible
 
 
+class TestSquareRule:
+    """Both bound scans read +1 at a square degree m^2 with no Euler power, and agree with
+    listing the squares mod p at every degree up to 2000 in size."""
+
+    @pytest.mark.parametrize("m", [1, 2, 15, 97, 210, 1001])
+    def test_a_square_degree_never_takes_a_power(self, monkeypatch, m):
+        def no_power(k, p):
+            raise AssertionError(f"Euler power taken for ({k}/{p})")
+
+        monkeypatch.setattr(hpgenus.obstruction, "_symbol", no_power)
+        k, primes = m * m, odd_primes_upto(10**4)
+        coprime = [p for p in primes if m % p]
+        verdict = _admissible(RectorInvariant(1), k, primes)
+        assert verdict == Verdict("Admissible", skipped=tuple(p for p in primes if m % p == 0))
+        assert forced_genus(k, 10**4).forced == tuple((p, 1) for p in coprime)
+        last = coprime[-1]
+        assert _admissible(RectorInvariant(1, {last: -1}), k, primes) == Verdict(
+            "Obstructed", prime=last, required=1, actual=-1, skipped=verdict.skipped
+        )
+
+    def test_both_scans_match_enumeration_for_every_small_degree(self):
+        # every k with 1 <= |k| <= 2000 (so every m^2, -m^2 and 2m^2 in that range) against
+        # the squares mod each odd prime up to 1000, listed once per prime where
+        # legendre_by_enumeration lists them once per symbol; points with default +1 and -1,
+        # bare and with exceptions that a square degree's scan reaches
+        primes = odd_primes_upto(1000)
+        squares = {p: squares_mod(p) for p in primes}
+        symbol = {(r, p): 1 if r in squares[p] else -1 for p in primes for r in range(1, p)}
+        points = [
+            RectorInvariant(1),
+            RectorInvariant(-1),
+            RectorInvariant(1, {499: -1, 997: -1}),
+            RectorInvariant(-1, {3: 1, 5: 1, 7: 1, 11: 1, 13: 1}),
+        ]
+        for magnitude in range(1, 2001):
+            for k in (magnitude, -magnitude):
+                required = [(p, symbol[k % p, p]) for p in primes if k % p]
+                skipped = tuple(p for p in primes if k % p == 0)
+                assert forced_genus(k, 1000).forced == tuple(required)
+                for point in points:
+                    expected = Verdict("Admissible", skipped=skipped)
+                    for p, sign in required:
+                        if point.lookup(p) != sign:
+                            expected = Verdict(
+                                "Obstructed", p, sign, point.lookup(p), skipped=skipped
+                            )
+                            break
+                    assert _admissible(point, k, primes) == expected, (k, point)
+
+
 class TestForcedGenus:
     def test_degree_one(self):
         report = forced_genus(1, 20)
