@@ -22,9 +22,8 @@ residues of the exact integer routes because reduction and truncation are
 ring homomorphisms.  t^n has skeletal filtration 2n, so the filtration cut
 at 2p+3 that the comparison needs is truncation at order p+2.  The unknown
 terms of psi^p lie in filtration >= 2p+3, so they vanish at that order and
-are not modelled.  The brute force checks its arguments once per call and
-then, per trial, expands each route once from S, as the public routes do:
-``_lhs`` on the left and ``psi_apply`` on the right.
+are not modelled.  The brute force checks its arguments once per call; per
+trial, ``_routes_agree`` expands ``_lhs`` and ``psi_apply`` from one S.
 """
 
 from __future__ import annotations
@@ -247,6 +246,12 @@ def _lhs(p: int, epsilon: Sign, s: TruncatedSeries) -> TruncatedSeries:
     is t^(p+1) times one ``pow`` of S's unit coefficient mod p^2.
     """
     return s**p + s ** ((p + 1) // 2) * (2 * epsilon * p)
+
+
+def _routes_agree(p: int, epsilon: Sign, f: DegreeMapModel) -> bool:
+    """Whether both routes give f the same t^(p+1) coefficient mod p^2, unchecked."""
+    s = _pullback(p, f)
+    return _lhs(p, epsilon, s).coeffs[p + 1] == psi_apply(p, s).coeffs[p + 1]
 
 
 def psi_then_pullback(p: int, epsilon: Sign, f: DegreeMapModel) -> TruncatedSeries:

@@ -19,13 +19,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-# the brute force looks psi_apply up in genus, where bench/spans.py traces it
-from . import genus as _genus
 from .genus import (
     RectorInvariant,
     Sign,
-    _lhs,
-    _pullback,
+    _routes_agree,
     check_degree,
     check_degree_prime_to,
     check_prime,
@@ -34,7 +31,7 @@ from .genus import (
     sign_to_str,
 )
 # unused here but bound: bench/spans.py traces calls through obstruction.psi_then_pullback
-# and obstruction.pullback_then_psi; the brute force calls _lhs and psi_apply instead
+# and obstruction.pullback_then_psi; the brute force asks genus._routes_agree instead
 from .genus import psi_then_pullback, pullback_then_psi  # noqa: F401
 # is_prime is unused here but stays bound: bench/spans.py traces calls through obstruction.is_prime
 from .primes import (  # noqa: F401
@@ -100,10 +97,10 @@ def compatible_bruteforce(
     on all inputs and any seed; the default seed makes verdicts
     reproducible bit for bit.
 
-    The arguments are checked once per call.  Each trial then builds the
-    map's pullback S mod p^2 once and expands each route from it with what
-    the public routes call: the unchecked ``_lhs`` for
-    ``psi_then_pullback`` and ``psi_apply`` for ``pullback_then_psi``.
+    The arguments are checked once per call.  Each trial then draws a map
+    and asks ``genus._routes_agree`` whether both routes agree on it: that
+    builds the map's pullback S mod p^2 once and expands each route from it
+    as the public routes do.
     """
     check_sign(epsilon)
     check_prime("p", p, 3)
@@ -112,8 +109,7 @@ def compatible_bruteforce(
     check_int("seed", seed)
     rng = random.Random(f"{seed}:{p}:{k}")
     for _ in range(trials):
-        s = _pullback(p, random_degree_map(rng, k, p + 2))
-        if _lhs(p, epsilon, s).coeffs[p + 1] != _genus.psi_apply(p, s).coeffs[p + 1]:
+        if not _routes_agree(p, epsilon, random_degree_map(rng, k, p + 2)):
             return False
     return True
 

@@ -194,11 +194,11 @@ class TruncatedSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def monomial(cls, order: int, degree: int, coeff: int = 1) -> "TruncatedSeries":
-        """coeff * t^degree; the degree must fit below the truncation order."""
+    def monomial(cls, order: int, degree: int) -> "TruncatedSeries":
+        """t^degree; the degree must fit below the truncation order."""
         if check_int("monomial degree", degree, 0) >= check_int("order", order, 1):
             raise ValueError(f"monomial degree {degree} does not fit below t^{order}")
-        return cls(order, (0,) * degree + (coeff,))
+        return cls(order, (0,) * degree + (1,))
 
     # -- inspection --------------------------------------------------------
 

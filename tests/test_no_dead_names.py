@@ -8,6 +8,7 @@ One prime rule: ``is_prime`` is called only by ``genus.check_prime``, by ``check
 and by the factorizer.
 One symbol rule: the Euler power ``_symbol`` is called only by the scan helper ``_symbols``,
 which reads a square degree's +1 without it, and by the single-prime queries.
+Module boundaries: a private name crosses from one module to another only where it is listed.
 """
 
 import ast
@@ -61,6 +62,22 @@ SYMBOL_CALLS = {
     ("cli.py", "_cmd_example_xp"),
 }
 
+#: the private names a module imports from another module, or reads on another module's
+#: objects, each with its reason; every other private name stays in the module defining it
+CROSS_MODULE_PRIVATE = {
+    ("adams.py", "_powers"): "the kernel's powers of a series: the psi table is built the way "
+    "compose substitutes",
+    ("adams.py", "_combination"): "the kernel's unchecked sum of scaled rows, over a table "
+    "built from a checked series",
+    ("genus.py", "_trusted"): "the kernel's unchecked constructor, for a pullback built from "
+    "a model whose ints are checked",
+    ("obstruction.py", "_trusted"): "example_xp's point, at the prime it has just checked",
+    ("obstruction.py", "_routes_agree"): "the brute force's trial, after one check per call",
+    ("cli.py", "_admissible"): "checked once: the --bound scan over the sieve's primes and "
+    "example-xp's point at its checked prime",
+    ("cli.py", "_symbol"): "checked once: example-xp's symbol at its checked prime",
+}
+
 
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -106,7 +123,34 @@ def _private_definitions(tree: ast.Module) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.extend(target.id for target in targets if isinstance(target, ast.Name))
-    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+    return [name for name in names if _is_private(name)]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_reaches(tree: ast.Module) -> set[str]:
+    """The private names the module imports from the package, or reads as an attribute of a
+    name it imports from the package or of an object whose class it does not define them on."""
+    imported, defined, found = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                imported.add(alias.asname or alias.name)
+                if _is_private(alias.name):
+                    found.add(alias.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            if getattr(node.value, "id", None) in imported or node.attr not in defined:
+                found.add(node.attr)
+    return found
 
 
 def _is_type_test(node: ast.AST) -> bool:
@@ -216,3 +260,9 @@ def test_symbols_are_taken_by_the_symbol_rule_only():
         for owner in _owners(_tree(path), _calls("_symbol"))
     }
     assert found == SYMBOL_CALLS, f"_symbol called outside the listed places: {found ^ SYMBOL_CALLS}"
+
+
+def test_private_names_cross_module_boundaries_only_where_listed():
+    found = {(path.name, name) for path in SOURCES for name in _private_reaches(_tree(path))}
+    listed = set(CROSS_MODULE_PRIVATE)
+    assert found == listed, f"private names crossing modules, unlisted or gone: {found ^ listed}"

@@ -159,16 +159,24 @@ class TestCompatibleBruteforce:
 
     @pytest.mark.parametrize("epsilon, trials, draws", [(1, 37, 37), (-1, 37, 1), (1, 1, 1)])
     def test_one_map_drawn_per_trial_run(self, monkeypatch, epsilon, trials, draws):
-        # (2/7) = +1: a pass runs every trial, a fail stops after the first
-        counted = []
+        # (2/7) = +1: a pass runs every trial, a fail stops after the first.  The
+        # benchmark counts trials at obstruction.random_degree_map and psi calls at
+        # genus.psi_apply: a trial must look both up there, once each
+        calls = Counter()
 
-        def counting(*args):
-            counted.append(args)
-            return random_degree_map(*args)
+        def counted(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(hpgenus.obstruction, "random_degree_map", counting)
+            def counting(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+
+        counted(hpgenus.obstruction, "random_degree_map")
+        counted(hpgenus.genus, "psi_apply")
         assert compatible_bruteforce(7, epsilon, 2, trials=trials) is (epsilon == 1)
-        assert len(counted) == draws
+        assert calls == {"random_degree_map": draws, "psi_apply": draws}
 
 
 class TestAdmissible:
