@@ -39,7 +39,6 @@ from .genus import (
     psi_then_pullback,
     pullback_then_psi,
     sign_from_str,
-    sign_to_str,
 )
 from .primes import odd_primes_upto
 
@@ -60,6 +59,9 @@ MAX_DEGREE_CEILING = 200
 #: about 4 s and 310 MB with --format json (195 MB as a table), and admissible at a square
 #: degree, whose scan runs to the bound, about 0.5 s and 56 MB
 BOUND_CEILING = 10**7
+#: the most characters ``--genus-file`` may hold, checked before it is parsed: a point with -1
+#: at the 250149 odd primes below 3.5*10^6 (4.16 million characters) takes about 6 s and 115 MB
+GENUS_FILE_CEILING = 2**22
 #: the most characters of an error message the CLI writes: a longer one is cut there and
 #: ends with its full length, so an input it echoes cannot flood stderr
 MESSAGE_CEILING = 500
@@ -107,10 +109,13 @@ def _load_genus(args) -> RectorInvariant:
     if args.genus is not None:
         return RectorInvariant.from_spec(args.genus)
     with open(args.genus_file, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle, object_pairs_hook=_unique_keys)
-        except RecursionError:
-            raise ValueError("malformed genus document: nested too deeply") from None
+        text = handle.read(GENUS_FILE_CEILING + 1)
+    if len(text) > GENUS_FILE_CEILING:
+        raise ValueError(f"--genus-file must be at most {GENUS_FILE_CEILING} characters, got more")
+    try:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("malformed genus document: nested too deeply") from None
     return RectorInvariant.from_json_dict(data)
 
 
@@ -148,7 +153,7 @@ def _cmd_verify_lemma(args) -> int:
         "command": "verify-lemma",
         "prime": p,
         "degree": k,
-        "epsilon": sign_to_str(epsilon),
+        "epsilon": f"{epsilon:+d}",
         "criterion_passes": closed,
         "bruteforce_passes": brute,
         "methods_agree": agree,
@@ -163,7 +168,7 @@ def _cmd_verify_lemma(args) -> int:
     rows = [
         ("prime", str(p)),
         ("degree", str(k)),
-        ("epsilon", sign_to_str(epsilon)),
+        ("epsilon", payload["epsilon"]),
         ("criterion", "pass" if closed else "FAIL"),
         (f"bruteforce ({args.trials} trials, seed {seed})", "pass" if brute else "FAIL"),
         (f"lhs coefficient of t^{p + 1} mod {modulus}", str(lhs)),
@@ -190,22 +195,19 @@ def _cmd_admissible(args) -> int:
         "genus": genus.to_json_dict(),
         "verdict": verdict.to_json_dict(),
     }
+    rendered = payload["verdict"]
     rows = [
         ("degree", str(args.degree)),
         ("genus", genus.to_spec()),
-        ("outcome", verdict.outcome),
+        ("outcome", rendered["outcome"]),
     ]
     if not verdict.is_admissible:
-        rows.extend(
-            [
-                ("prime", str(verdict.prime)),
-                ("required", sign_to_str(verdict.required)),
-                ("actual", sign_to_str(verdict.actual)),
-            ]
-        )
-    rows.append(
-        ("skipped", ",".join(str(p) for p in verdict.skipped) if verdict.skipped else "(none)")
-    )
+        rows += [
+            ("prime", str(rendered["prime"])),
+            ("required", rendered["required"]),
+            ("actual", rendered["actual"]),
+        ]
+    rows.append(("skipped", ",".join(map(str, rendered["skipped"])) or "(none)"))
     _emit(payload, rows, args.format)
     return EXIT_OK if verdict.is_admissible else EXIT_MATH_FAIL
 
@@ -214,13 +216,10 @@ def _cmd_forced_genus(args) -> int:
     _check_ceiling("--bound", args.bound, BOUND_CEILING)
     report = obstruction.forced_genus(args.degree, args.bound)
     payload = {"command": "forced-genus", **report.to_json_dict()}
-    forced_text = (
-        " ".join(f"{p}:{sign_to_str(s)}" for p, s in report.forced) if report.forced else "(none)"
-    )
     rows = [
         ("degree", str(report.degree)),
         ("bound", str(report.bound)),
-        ("forced", forced_text),
+        ("forced", " ".join(f"{p}:{s}" for p, s in payload["forced"].items()) or "(none)"),
         ("free", ",".join(str(p) for p in report.free)),
         ("free primes over all of Z", str(report.free_count_total)),
         (
@@ -236,20 +235,19 @@ def _cmd_example_xp(args) -> int:
     # example_xp checks the prime; the verdict and the symbol take it as checked
     point, witness = obstruction.example_xp(args.prime)
     verdict = obstruction._admissible(point, witness, [args.prime])
-    symbol = sign_to_str(obstruction._symbol(witness, args.prime))
     payload = {
         "command": "example-xp",
         "prime": args.prime,
         "genus": point.to_json_dict(),
         "witness_degree": witness,
-        "witness_symbol": symbol,
+        "witness_symbol": f"{obstruction._symbol(witness, args.prime):+d}",
         "single_prime_verdict": verdict.to_json_dict(),
     }
     rows = [
         ("prime", str(args.prime)),
         ("genus", point.to_spec()),
         ("witness degree", str(witness)),
-        ("witness symbol", symbol),
+        ("witness symbol", payload["witness_symbol"]),
         (f"admissible at {{{args.prime}}}", verdict.outcome),
     ]
     _emit(payload, rows, args.format)

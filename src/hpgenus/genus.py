@@ -71,10 +71,6 @@ def check_degree_prime_to(k: int, p: int) -> int:
     return k
 
 
-def sign_to_str(value: int) -> str:
-    return "+1" if check_sign(value) == 1 else "-1"
-
-
 def sign_from_str(text: str) -> int:
     if text == "+1" or text == "1":
         return 1
@@ -151,8 +147,8 @@ class RectorInvariant:
 
     def to_json_dict(self) -> dict:
         return {
-            "default": sign_to_str(self.default),
-            "exceptions": {str(p): sign_to_str(s) for p, s in self.exceptions},
+            "default": f"{self.default:+d}",
+            "exceptions": {str(p): f"{s:+d}" for p, s in self.exceptions},
         }
 
     @classmethod
@@ -169,8 +165,8 @@ class RectorInvariant:
 
     def to_spec(self) -> str:
         """The inline form ``from_spec`` reads, e.g. ``"3:-1,7:-1;default=+1"``."""
-        tail = f"default={sign_to_str(self.default)}"
-        body = ",".join(f"{p}:{sign_to_str(s)}" for p, s in self.exceptions)
+        tail = f"default={self.default:+d}"
+        body = ",".join(f"{p}:{s:+d}" for p, s in self.exceptions)
         return f"{body};{tail}" if body else tail
 
     @classmethod

@@ -28,7 +28,6 @@ from .genus import (
     check_prime,
     check_sign,
     random_degree_map,
-    sign_to_str,
 )
 # unused here but bound: bench/spans.py traces calls through obstruction.psi_then_pullback
 # and obstruction.pullback_then_psi; the brute force asks genus._routes_agree instead
@@ -139,8 +138,8 @@ class Verdict:
         return {
             "outcome": self.outcome,
             "prime": self.prime,
-            "required": None if self.required is None else sign_to_str(self.required),
-            "actual": None if self.actual is None else sign_to_str(self.actual),
+            "required": None if self.required is None else f"{self.required:+d}",
+            "actual": None if self.actual is None else f"{self.actual:+d}",
             "skipped": list(self.skipped),
         }
 
@@ -211,7 +210,7 @@ class ForcedGenusReport:
         return {
             "degree": self.degree,
             "bound": self.bound,
-            "forced": {str(p): sign_to_str(s) for p, s in self.forced},
+            "forced": {str(p): f"{s:+d}" for p, s in self.forced},
             "free": list(self.free),
             "free_count_total": self.free_count_total,
             "max_surviving_genus_points": self.max_surviving,

@@ -46,7 +46,7 @@ class SuiteResult:
         return self.checks > 0 and self.failures == 0
 
     def check(self, ok: bool, describe: Callable[[], str]) -> None:
-        """Count one check; describe the first failing one."""
+        """Count one check; describe the first failing one now, while its loop variables hold."""
         self.checks += 1
         if not ok:
             self.failures += 1
@@ -99,7 +99,7 @@ def ring_axiom_suite(seed: int = 0) -> SuiteResult:
             ]
         )
         for label, ok in laws:
-            rec.check(ok, lambda label=label, a=a, b=b, c=c: f"{label} failed: a={a!r} b={b!r} c={c!r}")
+            rec.check(ok, lambda: f"{label} failed: a={a!r} b={b!r} c={c!r}")
     return rec
 
 
@@ -111,13 +111,13 @@ def adams_law_suite(seed: int = 0) -> SuiteResult:
         for b in range(1, ADAMS_MAX_INDEX + 1):
             rec.check(
                 check_composition(a, b, ADAMS_ORDER),
-                lambda a=a, b=b: f"psi^{a} psi^{b} != psi^{a * b} at order {ADAMS_ORDER}",
+                lambda: f"psi^{a} psi^{b} != psi^{a * b} at order {ADAMS_ORDER}",
             )
     for r in range(1, ADAMS_MAX_INDEX * ADAMS_MAX_INDEX + 1):
         g = psi_generator(r, 8)
         rec.check(
             g.coefficient(0) == 0 and g.coefficient(1) == r,
-            lambda r=r, g=g: f"generator image of psi^{r} malformed: {g!r}",
+            lambda: f"generator image of psi^{r} malformed: {g!r}",
         )
     rng = random.Random(f"{seed}:adams")
     for _ in range(ADAMS_TRIALS):
@@ -127,13 +127,13 @@ def adams_law_suite(seed: int = 0) -> SuiteResult:
         g = _random_reduced(rng, n)
         rec.check(
             psi_apply(r, f + g) == psi_apply(r, f) + psi_apply(r, g),
-            lambda r=r, f=f, g=g: f"psi^{r} not additive on {f!r}, {g!r}",
+            lambda: f"psi^{r} not additive on {f!r}, {g!r}",
         )
         rec.check(
             psi_apply(r, f * g) == psi_apply(r, f) * psi_apply(r, g),
-            lambda r=r, f=f, g=g: f"psi^{r} not multiplicative on {f!r}, {g!r}",
+            lambda: f"psi^{r} not multiplicative on {f!r}, {g!r}",
         )
-        rec.check(psi_apply(1, f) == f, lambda f=f: f"psi^1 moved {f!r}")
+        rec.check(psi_apply(1, f) == f, lambda: f"psi^1 moved {f!r}")
     return rec
 
 
@@ -150,7 +150,7 @@ def frobenius_suite(max_prime: int = MAX_PRIME, seed: int = 0) -> SuiteResult:
         for f in series:
             rec.check(
                 check_frobenius(p, f),
-                lambda p=p, f=f: f"psi^{p}(f) != f^{p} mod {p} for f={f!r}",
+                lambda: f"psi^{p}(f) != f^{p} mod {p} for f={f!r}",
             )
     return rec
 
@@ -165,14 +165,14 @@ def legendre_oracle_suite() -> SuiteResult:
             expected = 1 if k in squares else -1
             rec.check(
                 table[k] == expected,
-                lambda k=k, p=p, e=expected: f"({k}/{p}) != {e} from square enumeration",
+                lambda: f"({k}/{p}) != {expected} from square enumeration",
             )
         for a in range(1, p):
             ta = table[a]
             for b in range(1, p):
                 rec.check(
                     table[a * b % p] == ta * table[b],
-                    lambda a=a, b=b, p=p: f"({a}*{b}/{p}) != ({a}/{p})({b}/{p})",
+                    lambda: f"({a}*{b}/{p}) != ({a}/{p})({b}/{p})",
                 )
     return rec
 
@@ -193,8 +193,9 @@ def lemma_equivalence_suite(
                     brute = compatible_bruteforce(p, epsilon, k, trials=trials, seed=seed)
                     rec.check(
                         closed == brute,
-                        lambda p=p, k=k, e=epsilon, c=closed, b=brute: (
-                            f"criterion={c} but bruteforce={b} at p={p}, k={k}, epsilon={e:+d}"
+                        lambda: (
+                            f"criterion={closed} but bruteforce={brute} at p={p}, k={k}, "
+                            f"epsilon={epsilon:+d}"
                         ),
                     )
     return rec

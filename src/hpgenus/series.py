@@ -367,22 +367,3 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         text = f"TruncatedSeries({self.order}, {list(self.coeffs)!r})"
         return text if self.modulus is None else f"{text}.reduce({self.modulus})"
-
-    def __str__(self) -> str:
-        terms = []
-        for n, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if n == 0:
-                terms.append(str(c))
-                continue
-            var = "t" if n == 1 else f"t^{n}"
-            if c == 1:
-                terms.append(var)
-            elif c == -1:
-                terms.append(f"-{var}")
-            else:
-                terms.append(f"{c}*{var}")
-        body = " + ".join(terms).replace("+ -", "- ") if terms else "0"
-        text = f"{body} + O(t^{self.order})"
-        return text if self.modulus is None else f"{text} mod {self.modulus}"

@@ -370,6 +370,33 @@ class TestAdmissible:
         assert err.startswith("hpgenus: error: malformed genus document")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_genus_file_above_the_ceiling_exits_one(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "GENUS_FILE_CEILING", 64)
+        doc = '{"default": "+1", "exceptions": {"5": "-1"}}'
+        path = tmp_path / "genus.json"
+        path.write_text(doc.ljust(64))
+        code, out, _ = run_cli(
+            capsys, "admissible", "--degree", "1", "--genus-file", str(path), "--primes", "5"
+        )
+        assert code == 2 and "Obstructed" in out
+        path.write_text(doc.ljust(65))
+        code, out, err = run_cli(
+            capsys, "admissible", "--degree", "1", "--genus-file", str(path), "--primes", "5"
+        )
+        assert code == 1 and out == ""
+        assert err == "hpgenus: error: --genus-file must be at most 64 characters, got more\n"
+
+    def test_endless_genus_file_exits_one(self, capsys):
+        # /dev/zero never ends: only the ceiling's characters are read
+        code, out, err = run_cli(
+            capsys, "admissible", "--degree", "2", "--genus-file", "/dev/zero", "--primes", "3"
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            f"hpgenus: error: --genus-file must be at most {cli.GENUS_FILE_CEILING} "
+            "characters, got more\n"
+        )
+
     def test_large_malformed_genus_file_has_a_short_message(self, capsys, tmp_path):
         # the message names the document's type, never echoes the document
         path = tmp_path / "zeros.json"
@@ -594,6 +621,66 @@ class TestSelftest:
         adams._psi_rows.cache_clear()
         assert selftest.frobenius_suite().checks == 5500
         assert adams._psi_rows.cache_info().misses <= 165
+
+    @pytest.mark.parametrize(
+        "suite, args, target, name, lie, text",
+        [
+            (
+                "ring_axiom_suite", (), TruncatedSeries, "__eq__", lambda self, other: False,
+                "add commutes failed: a=TruncatedSeries(4, [-76, 14, 12, -15]) "
+                "b=TruncatedSeries(4, [-2, 40, -28, -46]) c=TruncatedSeries(4, [22, -67, 6, 79])",
+            ),
+            (
+                "adams_law_suite", (), selftest, "check_composition", lambda a, b, order: False,
+                "psi^1 psi^1 != psi^1 at order 32",
+            ),
+            (
+                "adams_law_suite", (), selftest, "psi_generator",
+                lambda r, order: TruncatedSeries(order),
+                "generator image of psi^1 malformed: TruncatedSeries(8, [0, 0, 0, 0, 0, 0, 0, 0])",
+            ),
+            (
+                "adams_law_suite", (), selftest, "psi_apply", lambda r, f: f if r == 1 else f * f,
+                "psi^5 not additive on TruncatedSeries(5, [0, 7, -6, 0, 8]), "
+                "TruncatedSeries(5, [0, -8, -6, -6, 7])",
+            ),
+            (
+                "adams_law_suite", (), selftest, "psi_apply", lambda r, f: f if r == 1 else f + f,
+                "psi^5 not multiplicative on TruncatedSeries(5, [0, 7, -6, 0, 8]), "
+                "TruncatedSeries(5, [0, -8, -6, -6, 7])",
+            ),
+            (
+                "adams_law_suite", (), selftest, "psi_apply", lambda r, f: TruncatedSeries(f.order),
+                "psi^1 moved TruncatedSeries(2, [0, 4])",
+            ),
+            (
+                "frobenius_suite", (), selftest, "check_frobenius", lambda p, f: False,
+                "psi^2(f) != f^2 mod 2 for f="
+                "TruncatedSeries(10, [0, 8, -3, 8, 7, -5, 4, -2, -1, -1])",
+            ),
+            (
+                "legendre_oracle_suite", (), selftest, "legendre", lambda k, p: 0,
+                "(1/3) != 1 from square enumeration",
+            ),
+            (
+                "lemma_equivalence_suite", (3, 1, 1), selftest, "compatible",
+                lambda p, epsilon, k: None,
+                "criterion=None but bruteforce=True at p=3, k=1, epsilon=+1",
+            ),
+        ],
+        ids=[
+            "ring", "composition", "generator", "additive", "multiplicative", "psi-one",
+            "frobenius", "legendre", "lemma",
+        ],
+    )
+    def test_first_counterexample_under_an_injected_fault(
+        self, monkeypatch, suite, args, target, name, lie, text
+    ):
+        # each suite describes a failure from the values of the check that failed
+        monkeypatch.setattr(target, name, lie)
+        result = getattr(selftest, suite)(*args)
+        assert result.failures > 0
+        assert result.first_counterexample == text
 
     def test_suite_result_records_the_first_failure(self):
         result = SuiteResult("demo")

@@ -337,6 +337,20 @@ class TestKernel:
         assert _mul(ra.coeffs, rb.coeffs, order, m) == expected
         assert list((ra * ra).coeffs) == [c % m for c in schoolbook_mul(a, a, order)]
 
+    @pytest.mark.parametrize("n", [2, 4, 33])
+    @pytest.mark.parametrize("fill", ["top", "seeded"])
+    def test_residue_slots_hold_a_sum_of_n_products(self, n, fill):
+        # (m - 1)^2 fits one 64-bit word but n (m - 1)^2 does not: a slot sized for one
+        # product carries into the slot above it
+        m = 2**32 - 5
+        rng = random.Random(n)
+        a, b = (
+            [m - 1] * n if fill == "top" else [rng.randrange(m) for _ in range(n)]
+            for _ in range(2)
+        )
+        product = TruncatedSeries(n, a).reduce(m) * TruncatedSeries(n, b).reduce(m)
+        assert list(product.coeffs) == [c % m for c in schoolbook_mul(a, b, n)]
+
     @given(st.integers(1, 12), st.sampled_from(MODULI), st.data())
     def test_residue_sums_and_scalings_match_the_integer_ops(self, order, m, data):
         # each of these reduces in the pass that computes it: the result must be the
@@ -411,7 +425,6 @@ class TestKernel:
     def test_repr_round_trips(self):
         f = TruncatedSeries(3, [-1, 10, 82]).reduce(9)
         assert repr(f) == "TruncatedSeries(3, [8, 1, 1]).reduce(9)"
-        assert str(f) == "8 + t + t^2 + O(t^3) mod 9"
 
 
 class TestCombination:
@@ -502,7 +515,3 @@ class TestValueSemantics:
             with pytest.raises(TypeError):
                 operation()
         assert (s == "x") is False
-
-    def test_str(self):
-        assert str(TruncatedSeries(4, [0, 2, 0, -1])) == "2*t - t^3 + O(t^4)"
-        assert str(TruncatedSeries(3)) == "0 + O(t^3)"

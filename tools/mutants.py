@@ -181,6 +181,24 @@ MUTANTS = [
         "return s**p + s ** ((p + 1) // 2)",
         "the trial's left route drops the 2*epsilon*p factor",
     ),
+    Mutant(
+        "cli.py",
+        "if len(text) > GENUS_FILE_CEILING:",
+        "if len(text) >= GENUS_FILE_CEILING:",
+        "a genus file of exactly the ceiling's length is refused",
+    ),
+    Mutant(
+        "cli.py",
+        '("actual", rendered["actual"]),',
+        '("actual", rendered["required"]),',
+        "admissible's table reads the required sign into the actual row",
+    ),
+    Mutant(
+        "cli.py",
+        '" ".join(f"{p}:{s}" for p, s in payload["forced"].items())',
+        '",".join(f"{p}:{s}" for p, s in payload["forced"].items())',
+        "forced-genus's table joins the forced signs with commas",
+    ),
 ]
 
 #: equivalent mutants: each changes no answer, for the reason given, so tier-1 passes
