@@ -14,7 +14,7 @@ Commands:
 
 Exit codes:
     0   success (admissible / congruence holds / all suites pass)
-    1   usage or input error
+    1   usage or input error, or a command that ran out of memory
     2   mathematical failure (obstructed / congruence fails / suite failure)
     3   internal inconsistency: the two verification routes disagree
         (must never happen)
@@ -34,6 +34,7 @@ import sys
 from . import selftest
 from . import obstruction
 from .genus import (
+    SIGN_TEXT,
     DegreeMapModel,
     RectorInvariant,
     psi_then_pullback,
@@ -49,15 +50,15 @@ EXIT_INCONSISTENT = 3
 
 #: the most brute-force trials ``--trials`` accepts, on verify-lemma and selftest
 TRIALS_CEILING = 100_000
-#: the largest verify-lemma ``--prime``: 200 trials at the prime below it take about 16 s
+#: the largest verify-lemma ``--prime``: 200 trials at the prime below it take about 8 to 14 s
 LEMMA_PRIME_CEILING = 10**5
 #: the largest selftest ``--max-prime`` and ``--max-degree``: with the other flags at
 #: their defaults, a sweep at either ceiling takes under 30 s
 MAX_PRIME_CEILING = 101
 MAX_DEGREE_CEILING = 200
 #: the largest ``--bound`` admissible and forced-genus accept: at it, forced-genus takes
-#: about 4 s and 310 MB with --format json (195 MB as a table), and admissible at a square
-#: degree, whose scan runs to the bound, about 0.5 s and 56 MB
+#: about 3.5 s and 207 MB with --format json (3 s and 195 MB as a table), and admissible at
+#: a square degree, whose scan runs to the bound, about 0.5 s and 55 MB
 BOUND_CEILING = 10**7
 #: the most characters ``--genus-file`` may hold, checked before it is parsed: a point with -1
 #: at the 250149 odd primes below 3.5*10^6 (4.16 million characters) takes about 6 s and 115 MB
@@ -119,9 +120,35 @@ def _load_genus(args) -> RectorInvariant:
     return RectorInvariant.from_json_dict(data)
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a value on a line starting at indent.
+
+    With ``indent`` set, ``json.dumps`` takes the pure-Python encoder, which
+    builds a string per item.  Here a dict or list that holds no container is
+    written by one call of the C encoder, whose item separator carries the next
+    line's indentation, and only a container of containers is walked in Python.
+    Dict keys are strings, as in every document the CLI writes.
+    """
+    containers = (dict, list, tuple)
+    if not isinstance(value, containers) or not value:
+        return json.dumps(value)
+    inner = indent + "  "
+    is_dict = isinstance(value, dict)
+    brackets = "{}" if is_dict else "[]"
+    items = value.values() if is_dict else value
+    if not any(isinstance(item, containers) for item in items):
+        body = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))[1:-1]
+    elif is_dict:
+        pairs = sorted(value.items())
+        body = ("," + inner).join(f"{json.dumps(key)}: {_json_text(v, inner)}" for key, v in pairs)
+    else:
+        body = ("," + inner).join(_json_text(item, inner) for item in value)
+    return f"{brackets[0]}{inner}{body}{indent}{brackets[1]}"
+
+
 def _emit(payload: dict, rows: list[tuple[str, str]], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     else:
         width = max(len(key) for key, _ in rows)
         for key, value in rows:
@@ -153,7 +180,7 @@ def _cmd_verify_lemma(args) -> int:
         "command": "verify-lemma",
         "prime": p,
         "degree": k,
-        "epsilon": f"{epsilon:+d}",
+        "epsilon": SIGN_TEXT[epsilon],
         "criterion_passes": closed,
         "bruteforce_passes": brute,
         "methods_agree": agree,
@@ -240,7 +267,7 @@ def _cmd_example_xp(args) -> int:
         "prime": args.prime,
         "genus": point.to_json_dict(),
         "witness_degree": witness,
-        "witness_symbol": f"{obstruction._symbol(witness, args.prime):+d}",
+        "witness_symbol": SIGN_TEXT[obstruction._symbol(witness, args.prime)],
         "single_prime_verdict": verdict.to_json_dict(),
     }
     rows = [
@@ -361,6 +388,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"hpgenus: error: {_bounded(str(exc))}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        message = f"hpgenus: error: {args.command} ran out of memory: try a smaller --bound"
+        print(message, file=sys.stderr)
         return EXIT_USAGE
 
 

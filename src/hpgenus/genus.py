@@ -71,6 +71,10 @@ def check_degree_prime_to(k: int, p: int) -> int:
     return k
 
 
+#: the text of each sign, for every writer: the two strings are shared, not built per pair
+SIGN_TEXT = {1: "+1", -1: "-1"}
+
+
 def sign_from_str(text: str) -> int:
     if text == "+1" or text == "1":
         return 1
@@ -147,8 +151,8 @@ class RectorInvariant:
 
     def to_json_dict(self) -> dict:
         return {
-            "default": f"{self.default:+d}",
-            "exceptions": {str(p): f"{s:+d}" for p, s in self.exceptions},
+            "default": SIGN_TEXT[self.default],
+            "exceptions": {str(p): SIGN_TEXT[s] for p, s in self.exceptions},
         }
 
     @classmethod
@@ -165,8 +169,8 @@ class RectorInvariant:
 
     def to_spec(self) -> str:
         """The inline form ``from_spec`` reads, e.g. ``"3:-1,7:-1;default=+1"``."""
-        tail = f"default={self.default:+d}"
-        body = ",".join(f"{p}:{s:+d}" for p, s in self.exceptions)
+        tail = f"default={SIGN_TEXT[self.default]}"
+        body = ",".join(f"{p}:{SIGN_TEXT[s]}" for p, s in self.exceptions)
         return f"{body};{tail}" if body else tail
 
     @classmethod

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .genus import (
+    SIGN_TEXT,
     RectorInvariant,
     Sign,
     _routes_agree,
@@ -138,8 +139,8 @@ class Verdict:
         return {
             "outcome": self.outcome,
             "prime": self.prime,
-            "required": None if self.required is None else f"{self.required:+d}",
-            "actual": None if self.actual is None else f"{self.actual:+d}",
+            "required": None if self.required is None else SIGN_TEXT[self.required],
+            "actual": None if self.actual is None else SIGN_TEXT[self.actual],
             "skipped": list(self.skipped),
         }
 
@@ -210,7 +211,7 @@ class ForcedGenusReport:
         return {
             "degree": self.degree,
             "bound": self.bound,
-            "forced": {str(p): f"{s:+d}" for p, s in self.forced},
+            "forced": {str(p): SIGN_TEXT[s] for p, s in self.forced},
             "free": list(self.free),
             "free_count_total": self.free_count_total,
             "max_surviving_genus_points": self.max_surviving,

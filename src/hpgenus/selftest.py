@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .adams import check_composition, check_frobenius, psi_apply, psi_generator
+from .genus import SIGN_TEXT
 from .obstruction import TRIALS, compatible, compatible_bruteforce, legendre
 from .primes import odd_primes_upto
 from .series import TruncatedSeries, check_int
@@ -195,7 +196,7 @@ def lemma_equivalence_suite(
                         closed == brute,
                         lambda: (
                             f"criterion={closed} but bruteforce={brute} at p={p}, k={k}, "
-                            f"epsilon={epsilon:+d}"
+                            f"epsilon={SIGN_TEXT[epsilon]}"
                         ),
                     )
     return rec

@@ -10,7 +10,10 @@ by an int, each term of a composition) reduces mod m in the same pass that
 computes them, so no list is built and then reduced again.  Reduction and
 truncation are ring homomorphisms, so reducing first and computing mod m
 gives exactly the residues of the exact computation, on coefficients that
-never grow past m.
+never grow past m.  In either ring a scaling, and each row of a
+combination, starts its pass at the first non-zero coefficient, and a sum
+with a zero summand is the other summand: the psi^p square's rows are
+mostly zero below t^(p+1).
 
 The generator t is graded so that t^n sits in skeletal filtration degree 2n.
 The ideal of filtration >= s is therefore spanned by the t^n with 2n >= s,
@@ -221,6 +224,11 @@ class TruncatedSeries:
             coeffs = (c if m is None else c % m,) + self.coeffs[1:]
         elif isinstance(other, TruncatedSeries):
             _require_ring(n, m, other)
+            # a zero summand leaves the other one, which is immutable and in this ring
+            if self.is_zero:
+                return other
+            if other.is_zero:
+                return self
             pairs = zip(self.coeffs, other.coeffs)
             coeffs = [x + y for x, y in pairs] if m is None else [(x + y) % m for x, y in pairs]
         else:
@@ -244,13 +252,12 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            m = self.modulus
-            coeffs = (
-                [other * c for c in self.coeffs]
-                if m is None
-                else [other * c % m for c in self.coeffs]
-            )
-            return TruncatedSeries._trusted(self.order, coeffs, m)
+            n, m = self.order, self.modulus
+            # the coefficients below the first non-zero one scale to zero unread
+            v = next(compress(count(), self.coeffs), n)
+            row = self.coeffs[v:]
+            scaled = [other * c for c in row] if m is None else [other * c % m for c in row]
+            return TruncatedSeries._trusted(n, (0,) * v + tuple(scaled), m)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         _require_ring(self.order, self.modulus, other)
@@ -297,20 +304,23 @@ class TruncatedSeries:
 
         Unchecked: the scalars are ints and the terms are in that ring.  A
         term with a zero scalar is skipped unread, the others are summed in
-        one pass each, and in a residue ring each pass also reduces; with
-        none left the result is zero.
+        one pass each from the row's first non-zero coefficient, so an
+        all-zero row is a pass over nothing, and in a residue ring each pass
+        also reduces; with none left the result is zero.
         """
         m, acc = modulus, None
         for c, term in zip(scalars, terms):
             if not c:
                 continue
-            row = term.coeffs
+            v = next(compress(count(), term.coeffs), order)
+            row = term.coeffs[v:]
             if acc is None:
-                acc = [c * x for x in row] if m is None else [c * x % m for x in row]
+                scaled = [c * x for x in row] if m is None else [c * x % m for x in row]
+                acc = [0] * v + scaled
             elif m is None:
-                acc = [a + c * x for a, x in zip(acc, row)]
+                acc[v:] = [a + c * x for a, x in zip(acc[v:], row)]
             else:
-                acc = [(a + c * x) % m for a, x in zip(acc, row)]
+                acc[v:] = [(a + c * x) % m for a, x in zip(acc[v:], row)]
         return cls._trusted(order, (0,) * order if acc is None else acc, m)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":

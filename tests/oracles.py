@@ -132,3 +132,21 @@ def trial_division_odd_prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return [q for q in out if q != 2]
+
+
+def psi_rows_mod_p_squared(p: int) -> tuple[list[int], list[int]]:
+    """The rows g and g^2 of the psi^p table mod p^2 at order p+2, g = (1+t)^p - 1, in O(p).
+
+    For 1 <= j <= p-1, C(p, j) = (p/j) C(p-1, j-1) and C(p-1, j-1) = (-1)^(j-1) mod p, so
+    C(p, j) = p ((-1)^(j-1) j^-1 mod p) mod p^2; C(p, p) = 1 and C(p, p+1) = 0.  The
+    inverses come from inv(j) = -(p div j) inv(p mod j) mod p.  Every coefficient of g
+    below t^p is divisible by p, so in g^2 each product of two of them is divisible by p^2,
+    t^p times them starts at p t^(p+1), and t^(2p) is past the order: g^2 = 2p t^(p+1).
+    """
+    m = p * p
+    inverse = [0, 1]
+    for j in range(2, p):
+        inverse.append(-(p // j) * inverse[p % j] % p)
+    g = [0] + [p * ((-1) ** (j - 1) * inverse[j] % p) % m for j in range(1, p)] + [1, 0]
+    square = [0] * (p + 1) + [2 * p % m]
+    return g, square

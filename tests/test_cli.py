@@ -1,9 +1,13 @@
 import argparse
+import contextlib
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hpgenus import adams, cli, genus, obstruction, selftest
 from hpgenus.primes import PRIME_TEST_CEILING
@@ -838,3 +842,110 @@ class TestParserReuse:
         for argv in self.CALLS:
             run_cli(capsys, *argv)
         assert added == []
+
+
+#: JSON scalars as the CLI's documents hold them, and some they never do
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.floats(),
+    st.text(),
+    st.sampled_from(["", "\u00e9", "\u2028", '"quoted"\\', "tab\tline\n", "\x00", "\U0001f600"]),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    """``_json_text`` writes what ``json.dumps(indent=2, sort_keys=True)`` writes, byte for byte."""
+
+    @given(json_values)
+    @example({"b": [], "a": {}, "c": {"z": [1, [], {}], "\u00e9": "\n\"\\"}})
+    @example([True, None, 2**100, -(2**300), [[{}]], {"": ""}])
+    @example({"forced": {"5": "-1", "11": "+1", "7": "-1"}, "free": [2, 3]})
+    def test_matches_the_indenting_encoder(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_forced_genus_document_matches_the_indenting_encoder(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "forced-genus", "--degree", "6", "--bound", "30000", "--format", "json"
+        )
+        payload = {"command": "forced-genus", **obstruction.forced_genus(6, 30000).to_json_dict()}
+        assert code == 0
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestSignText:
+    """Each writer that runs once per prime reads the two shared sign strings."""
+
+    def test_every_forced_prime_shares_the_sign_strings(self):
+        report = obstruction.forced_genus(3, 1000)
+        texts = report.to_json_dict()["forced"].values()
+        assert all(text is genus.SIGN_TEXT[s] for text, (_, s) in zip(texts, report.forced))
+
+    def test_genus_points_and_verdicts_share_the_sign_strings(self):
+        point = genus.RectorInvariant(-1, {3: 1, 5: 1})
+        doc = point.to_json_dict()
+        assert doc["default"] is genus.SIGN_TEXT[-1]
+        assert all(text is genus.SIGN_TEXT[1] for text in doc["exceptions"].values())
+        assert point.to_spec() == "3:+1,5:+1;default=-1"
+        verdict = obstruction.Verdict("Obstructed", prime=3, required=1, actual=-1).to_json_dict()
+        assert verdict["required"] is genus.SIGN_TEXT[1]
+        assert verdict["actual"] is genus.SIGN_TEXT[-1]
+
+    #: tracemalloc bytes per forced prime at a bound of 30000, where this tree peaks at about
+    #: 221 as a table and 362 as JSON: a sign string built per prime adds about 51 to either
+    @pytest.mark.parametrize("fmt, budget", [("table", 245), ("json", 390)])
+    def test_forced_genus_peak_per_forced_prime(self, fmt, budget):
+        bound = 30000
+        pairs = len(obstruction.forced_genus(3, bound).forced)
+        argv = ["forced-genus", "--degree", "3", "--bound", str(bound), "--format", fmt]
+        cli.build_parser()
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = cli.main(argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < budget * pairs, f"{peak / pairs:.0f} bytes per forced prime"
+
+
+def out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+class TestOutOfMemory:
+    """A MemoryError in any command exits 1 with one line on stderr, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, owner, name",
+        [
+            (["forced-genus", "--degree", "3", "--bound", "100"], obstruction, "forced_genus"),
+            (["forced-genus", "--degree", "3", "--bound", "100", "--format", "json"], cli,
+             "_json_text"),
+            (["admissible", "--degree", "4", "--genus", "default=+1", "--bound", "100"],
+             obstruction, "_admissible"),
+            (["verify-lemma", "--prime", "5", "--degree", "2", "--epsilon", "-1"], obstruction,
+             "compatible_bruteforce"),
+            (["example-xp", "--prime", "7"], obstruction, "example_xp"),
+            (["selftest", "--max-prime", "3"], selftest, "run_all"),
+        ],
+        ids=["forced-genus", "json-writer", "admissible", "verify-lemma", "example-xp", "selftest"],
+    )
+    def test_exits_one_with_one_line(self, capsys, monkeypatch, argv, owner, name):
+        monkeypatch.setattr(owner, name, out_of_memory)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"hpgenus: error: {argv[0]} ran out of memory: try a smaller --bound\n"

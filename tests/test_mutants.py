@@ -22,3 +22,25 @@ def test_every_edit_finds_its_text_exactly_once(label, mutant, must_die):
     text = mutants.source(ROOT, mutant).read_text(encoding="utf-8")
     assert text.count(mutant.old) == 1, f"{label}: {mutant.old!r} in {mutant.file}"
     assert mutant.new != mutant.old
+
+
+@pytest.mark.parametrize(
+    "summary, expected",
+    [
+        (
+            "FAILED tests/test_golden_cli.py::test_replay[admissible --degree 3 --primes 3,5]"
+            " - AssertionError: assert [1] == [2]",
+            "tests/test_golden_cli.py::test_replay[admissible --degree 3 --primes 3,5]",
+        ),
+        ("ERROR tests/test_x.py::test_y[a-b]", "tests/test_x.py::test_y[a-b]"),
+        ("FAILED tests/test_x.py::test_y - assert [1] == [2]", "tests/test_x.py::test_y"),
+        ("ERROR tests/test_x.py - ImportError: no module", "tests/test_x.py"),
+        (
+            "FAILED tests/test_x.py::test_y[1]\nFAILED tests/test_x.py::test_z",
+            "tests/test_x.py::test_y[1]",
+        ),
+        ("1 passed", ""),
+    ],
+)
+def test_the_first_failure_is_read_to_the_end_of_its_id(summary, expected):
+    assert mutants.first_failure(f"..F\n{summary}\n") == expected

@@ -472,6 +472,88 @@ class TestCombination:
         assert TruncatedSeries._combination(3, None, [2], [f, f, f]) == 2 * f
 
 
+def rows_with_leading_zeros(order):
+    """Coefficient lists whose first non-zero entry may sit anywhere, or nowhere."""
+    return st.integers(0, order).flatmap(
+        lambda zeros: coefficient_lists(order - zeros).map(lambda tail: [0] * zeros + tail)
+    )
+
+
+class TestZeroSkipping:
+    """Passes that start at a row's first non-zero coefficient, and sums that return a
+    summand when the other is zero, against the index-loop product and plain sums."""
+
+    @staticmethod
+    def in_ring(order, m, coeffs):
+        series = TruncatedSeries(order, coeffs)
+        return series if m is None else series.reduce(m)
+
+    @staticmethod
+    def residues(m, coeffs):
+        return list(coeffs) if m is None else [c % m for c in coeffs]
+
+    @given(st.integers(1, 12), st.sampled_from([None] + MODULI), st.data())
+    def test_scalings_match_schoolbook(self, order, m, data):
+        a = data.draw(rows_with_leading_zeros(order))
+        c = data.draw(st.one_of(st.just(0), wide_ints))
+        f = self.in_ring(order, m, a)
+        expected = self.residues(m, schoolbook_mul(a, [c], order))
+        for got in (f * c, c * f):
+            assert got.modulus == m
+            assert list(got.coeffs) == expected
+
+    @given(st.integers(1, 12), st.sampled_from([None] + MODULI), st.data())
+    def test_sums_match_plain_sums(self, order, m, data):
+        a = data.draw(rows_with_leading_zeros(order))
+        b = data.draw(rows_with_leading_zeros(order))
+        f, g = self.in_ring(order, m, a), self.in_ring(order, m, b)
+        expected = self.residues(m, [x + y for x, y in zip(a, b)])
+        for got in (f + g, g + f):
+            assert got.modulus == m
+            assert list(got.coeffs) == expected
+
+    @pytest.mark.parametrize("m", [None, 9])
+    def test_a_zero_summand_returns_the_other(self, m):
+        f, zero = self.in_ring(4, m, [0, 0, 5, -1]), self.in_ring(4, m, [])
+        assert f + zero is f and zero + f is f
+        assert (zero + zero).is_zero and (zero + zero).modulus == m
+        assert f - f == zero and (f - f).modulus == m
+
+    def test_a_zero_summand_still_checks_the_ring(self):
+        zero = TruncatedSeries(4)
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            zero + TruncatedSeries(4, [1]).reduce(9)
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            TruncatedSeries(4, [1]).reduce(9) + zero
+        with pytest.raises(ValueError, match="order mismatch"):
+            TruncatedSeries(3, [1]) + zero
+
+    @given(st.integers(1, 12), st.sampled_from([None] + MODULI), st.data())
+    def test_combinations_match_schoolbook_scalings(self, order, m, data):
+        count = data.draw(st.integers(0, 5))
+        rows = [data.draw(rows_with_leading_zeros(order)) for _ in range(count)]
+        scalars = data.draw(
+            st.lists(st.one_of(st.just(0), wide_ints), min_size=count, max_size=count)
+        )
+        expected = [0] * order
+        for c, row in zip(scalars, rows):
+            expected = [x + y for x, y in zip(expected, schoolbook_mul(row, [c], order))]
+        terms = [self.in_ring(order, m, row) for row in rows]
+        got = TruncatedSeries._combination(order, m, scalars, terms)
+        assert got.modulus == m
+        assert list(got.coeffs) == self.residues(m, expected)
+
+    @pytest.mark.parametrize("m", [None, 9])
+    @pytest.mark.parametrize("scalars", [[0, 4, 7], [2, 4, 7], [2, 0, 1], [0, 0, 5]])
+    def test_combination_of_rows_that_start_late(self, m, scalars):
+        # the psi^3 table mod 9 at order 5: g from t^1, g^2 at t^4 only; then a zero row
+        rows = [[0, 3, 3, 1, 0], [0, 0, 0, 0, 6], [0] * 5]
+        expected = [sum(c * row[i] for c, row in zip(scalars, rows)) for i in range(5)]
+        terms = [self.in_ring(5, m, row) for row in rows]
+        got = TruncatedSeries._combination(5, m, scalars, terms)
+        assert list(got.coeffs) == self.residues(m, expected)
+
+
 class TestRingAxioms:
     def test_seeded_random_triples(self):
         # at least 1000 random triples across orders 1..16, all axioms exact

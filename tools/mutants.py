@@ -199,6 +199,30 @@ MUTANTS = [
         '",".join(f"{p}:{s}" for p, s in payload["forced"].items())',
         "forced-genus's table joins the forced signs with commas",
     ),
+    Mutant(
+        "series.py",
+        "            if self.is_zero:\n                return other\n",
+        "            if self.is_zero:\n                return self\n",
+        "a sum with a zero left summand returns the zero summand",
+    ),
+    Mutant(
+        "series.py",
+        "(0,) * v + tuple(scaled)",
+        "(0,) * (v + 1) + tuple(scaled[1:])",
+        "scaling by an int starts one index past the first non-zero coefficient",
+    ),
+    Mutant(
+        "series.py",
+        "            row = term.coeffs[v:]",
+        "            row = term.coeffs[v + 1 :]\n            v += 1",
+        "_combination starts each row's pass one index past its first non-zero coefficient",
+    ),
+    Mutant(
+        "cli.py",
+        'separators=("," + inner, ": ")',
+        'separators=(",", ": ")',
+        "the JSON writer's separator loses its newline and indent",
+    ),
 ]
 
 #: equivalent mutants: each changes no answer, for the reason given, so tier-1 passes
@@ -285,8 +309,17 @@ def run_tier1(tree: Path, argv: list[str]) -> tuple[str, float, str]:
     seconds = time.perf_counter() - start
     if proc.returncode == 0:
         return "passed", seconds, ""
-    first = re.search(r"^(?:FAILED|ERROR) (\S+)", out, re.MULTILINE)
-    return "failed", seconds, first.group(1) if first else f"exit {proc.returncode}"
+    return "failed", seconds, first_failure(out) or f"exit {proc.returncode}"
+
+
+def first_failure(out: str) -> str:
+    """The id of the first FAILED or ERROR line in pytest's summary, "" if there is none.
+
+    A parametrized id can hold spaces, so it is read to the ``]`` that ends it: the one
+    followed by the end of the line or by the `` - `` before the message.
+    """
+    first = re.search(r"^(?:FAILED|ERROR) (\S+?\[.*?\](?= - |$)|\S+)", out, re.MULTILINE)
+    return first.group(1) if first else ""
 
 
 def run_one(mutant: Mutant | None) -> tuple[str, float, str]:
