@@ -5,15 +5,24 @@ An element of Z[[t]]/(t^N) is stored as a tuple of exactly N Python ints
 powers never overflow or round.  ``reduce(m)`` maps it into the residue ring
 (Z/m)[t]/(t^N): the result keeps its modulus, holds canonical residues in
 [0, m), and every product, power, sum and composition with it stays in that
-ring.  There every pass over the coefficients (a sum, a negation, a scaling
-by an int, each term of a composition) reduces mod m in the same pass that
-computes them, so no list is built and then reduced again.  Reduction and
-truncation are ring homomorphisms, so reducing first and computing mod m
-gives exactly the residues of the exact computation, on coefficients that
-never grow past m.  In either ring a scaling, and each row of a
-combination, starts its pass at the first non-zero coefficient, and a sum
-with a zero summand is the other summand: the psi^p square's rows are
-mostly zero below t^(p+1).
+ring.  Reduction and truncation are ring homomorphisms, so reducing first
+and computing mod m gives exactly the residues of the exact computation, on
+coefficients that never grow past m.
+
+Two kernels do the arithmetic.  Every product and power goes through
+``_mul``, by Kronecker substitution: the coefficients are packed into
+fixed-width slots of one Python int, the two ints are multiplied once, and
+the low N slots are read back; no slot of the product overflows into the
+next (D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symbolic Comput. 44, 2009).  Every linear pass goes
+through ``_combination``, which adds scaled rows into one accumulator and
+reduces mod m in the same pass: sums, negation, ``reduce`` and each term of
+a composition or of ``psi_apply``.  Scaling by an int alone keeps a pass of
+its own, because each brute-force trial runs it once: through
+``_combination``, ``h * c`` at p = 31 took 2.9 us instead of 1.9 us
+(Python 3.11, shared 2-vCPU Xeon).  Each pass starts at its row's first
+non-zero coefficient, and a sum with a zero summand is the other summand:
+the psi^p square's rows are mostly zero below t^(p+1).
 
 The generator t is graded so that t^n sits in skeletal filtration degree 2n.
 The ideal of filtration >= s is therefore spanned by the t^n with 2n >= s,
@@ -26,13 +35,6 @@ Series of different orders or different moduli never mix: combining them is
 a hard error, not an implicit re-truncation or reduction, because a silent
 change of ring is exactly the kind of bookkeeping slip the filtration
 arithmetic must not absorb.
-
-Every series product goes through one kernel, ``_mul``, by Kronecker
-substitution: the coefficients are packed into fixed-width slots of one
-Python int, the two ints are multiplied once, and the low N slots are read
-back.  The slot is wide enough that no slot of the product overflows into
-the next (D. Harvey, "Faster polynomial multiplication via multipoint
-Kronecker substitution", J. Symbolic Comput. 44, 2009).
 
 All values are immutable after construction and all operations are pure, so
 instances can be shared freely across threads or processes.
@@ -229,8 +231,7 @@ class TruncatedSeries:
                 return other
             if other.is_zero:
                 return self
-            pairs = zip(self.coeffs, other.coeffs)
-            coeffs = [x + y for x, y in pairs] if m is None else [(x + y) % m for x, y in pairs]
+            return TruncatedSeries._combination(n, m, (1, 1), (self, other))
         else:
             return NotImplemented
         return TruncatedSeries._trusted(n, coeffs, m)
@@ -238,9 +239,7 @@ class TruncatedSeries:
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        m = self.modulus
-        coeffs = [-c for c in self.coeffs] if m is None else [-c % m for c in self.coeffs]
-        return TruncatedSeries._trusted(self.order, coeffs, m)
+        return TruncatedSeries._combination(self.order, self.modulus, (-1,), (self,))
 
     def __sub__(self, other):
         if not isinstance(other, (int, TruncatedSeries)):
@@ -302,26 +301,24 @@ class TruncatedSeries:
     ) -> "TruncatedSeries":
         """sum(c * s for c, s in zip(scalars, terms)), a series of this order and modulus.
 
-        Unchecked: the scalars are ints and the terms are in that ring.  A
-        term with a zero scalar is skipped unread, the others are summed in
-        one pass each from the row's first non-zero coefficient, so an
-        all-zero row is a pass over nothing, and in a residue ring each pass
-        also reduces; with none left the result is zero.
+        The one linear-pass kernel.  Unchecked: the scalars are ints and each
+        term holds ``order`` ints, each pass reduced into the given ring, so
+        a term may be an integer series or a residue series mod a multiple
+        of the modulus.  A term with a zero scalar is skipped unread, the
+        others are added to a zero accumulator in one pass each from the
+        row's first non-zero coefficient.
         """
-        m, acc = modulus, None
+        m, acc = modulus, [0] * order
         for c, term in zip(scalars, terms):
             if not c:
                 continue
             v = next(compress(count(), term.coeffs), order)
             row = term.coeffs[v:]
-            if acc is None:
-                scaled = [c * x for x in row] if m is None else [c * x % m for x in row]
-                acc = [0] * v + scaled
-            elif m is None:
+            if m is None:
                 acc[v:] = [a + c * x for a, x in zip(acc[v:], row)]
             else:
                 acc[v:] = [(a + c * x) % m for a, x in zip(acc[v:], row)]
-        return cls._trusted(order, (0,) * order if acc is None else acc, m)
+        return cls._trusted(order, acc, m)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner): the sum of self's coefficients times the powers of inner.
@@ -362,7 +359,7 @@ class TruncatedSeries:
                 raise ValueError(f"cannot reduce a series mod {self.modulus} to mod {modulus}")
             if self.modulus == modulus:
                 return self
-        return TruncatedSeries._trusted(self.order, [c % modulus for c in self.coeffs], modulus)
+        return TruncatedSeries._combination(self.order, modulus, (1,), (self,))
 
     # -- comparison and display --------------------------------------------
 

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from hpgenus.selftest import ring_axiom_suite
 from hpgenus.series import TruncatedSeries, _mul
 
 from oracles import schoolbook_compose, schoolbook_mul, schoolbook_pow
@@ -421,6 +422,12 @@ class TestKernel:
         with pytest.raises(ValueError, match="cannot reduce"):
             f.reduce(9).reduce(7)
         assert f.modulus is None
+        # rows that start late, or never: each pass starts at the first non-zero coefficient
+        for row in ([0, 0, -1, 10, 82], [0, 0, 0, 0, -10], [0] * 5):
+            late = TruncatedSeries(5, row)
+            assert list(late.reduce(9).coeffs) == [c % 9 for c in row]
+            assert list(late.reduce(9).reduce(3).coeffs) == [c % 3 for c in row]
+            assert late.reduce(9).reduce(3).modulus == 3
 
     def test_repr_round_trips(self):
         f = TruncatedSeries(3, [-1, 10, 82]).reduce(9)
@@ -507,10 +514,16 @@ class TestZeroSkipping:
         a = data.draw(rows_with_leading_zeros(order))
         b = data.draw(rows_with_leading_zeros(order))
         f, g = self.in_ring(order, m, a), self.in_ring(order, m, b)
-        expected = self.residues(m, [x + y for x, y in zip(a, b)])
-        for got in (f + g, g + f):
+        total = [x + y for x, y in zip(a, b)]
+        plain = [
+            (f + g, total),
+            (g + f, total),
+            (-f, [-x for x in a]),
+            (f - g, [x - y for x, y in zip(a, b)]),
+        ]
+        for got, expected in plain:
             assert got.modulus == m
-            assert list(got.coeffs) == expected
+            assert list(got.coeffs) == self.residues(m, expected)
 
     @pytest.mark.parametrize("m", [None, 9])
     def test_a_zero_summand_returns_the_other(self, m):
@@ -556,23 +569,10 @@ class TestZeroSkipping:
 
 class TestRingAxioms:
     def test_seeded_random_triples(self):
-        # at least 1000 random triples across orders 1..16, all axioms exact
-        rng = random.Random("ring-axioms")
-        for _ in range(1000):
-            n = rng.randint(1, 16)
-            a, b, c = (
-                TruncatedSeries(n, [rng.randint(-99, 99) for _ in range(n)]) for _ in range(3)
-            )
-            zero = TruncatedSeries(n)
-            one = TruncatedSeries(n, (1,))
-            assert a + b == b + a
-            assert (a + b) + c == a + (b + c)
-            assert a + zero == a
-            assert a + (-a) == zero
-            assert a * b == b * a
-            assert (a * b) * c == a * (b * c)
-            assert a * one == a
-            assert a * (b + c) == a * b + a * c
+        # the selftest's sweep: 1000 random triples across orders 1..16, 12 laws each
+        result = ring_axiom_suite()
+        assert result.ok, result.first_counterexample
+        assert result.checks == 12000
 
 
 class TestValueSemantics:

@@ -4,12 +4,14 @@ Usage, from the root of a checkout: ``python3 tools/mutants.py`` runs the
 baseline, then every mutant.
 
 Each run copies the tree to a temporary directory, makes one edit there and runs
-the tier-1 command with ``-x`` under a wall timeout of ``TIMEOUT`` seconds: a
-mutant of the rho loop can spin forever, and a timeout counts as a kill.  The
-checkout itself is never edited.  The unmutated copy runs first, so that a suite
-that already fails cannot kill every mutant.  A mutated copy skips
-``tests/test_mutants.py``'s check that every edit's text is in place, which the
-edit itself breaks.
+the tier-1 command with ``-x`` under a wall timeout of ``TIMEOUT`` seconds and
+an address-space cap of ``MEMORY`` bytes: a mutant of the rho loop can spin
+forever, and a mutant of a product or a reduction can make ``_powers`` run
+past the zero power with ever larger coefficients; a timeout counts as a kill,
+and so does the ``MemoryError`` the cap raises.  The checkout itself is never
+edited.  The unmutated copy runs first, so that a suite that already fails
+cannot kill every mutant.  A mutated copy skips ``tests/test_mutants.py``'s
+check that every edit's text is in place, which the edit itself breaks.
 
 ``MUTANTS`` are semantic edits that the tests must kill.  ``EQUIVALENT`` are
 edits that change no answer the program gives, each with a one-line proof: they
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import os
 import re
+import resource
 import shutil
 import signal
 import subprocess
@@ -38,6 +41,8 @@ PACKAGE = Path("src") / "hpgenus"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x"]
 #: seconds per tier-1 run
 TIMEOUT = 300
+#: bytes of address space per tier-1 run; the unmutated suite fits well inside it
+MEMORY = 1 << 30
 #: the check that every edit's text is in place, which any mutant fails by construction
 GUARD = "--deselect=tests/test_mutants.py::test_every_edit_finds_its_text_exactly_once"
 #: what the copy leaves out: history, caches and the recorded benchmark runs
@@ -215,13 +220,20 @@ MUTANTS = [
         "series.py",
         "            row = term.coeffs[v:]",
         "            row = term.coeffs[v + 1 :]\n            v += 1",
-        "_combination starts each row's pass one index past its first non-zero coefficient",
+        "_combination starts each row's pass one index past its first non-zero coefficient: "
+        "sums, negation and reduce too",
     ),
     Mutant(
         "cli.py",
         'separators=("," + inner, ": ")',
         'separators=(",", ": ")',
         "the JSON writer's separator loses its newline and indent",
+    ),
+    Mutant(
+        "series.py",
+        'int.from_bytes(data[i : i + size], "little")',
+        'int.from_bytes(data[i : i + size - 1], "little")',
+        "_slots drops the top byte of a wide slot: bytes-slot products lose their high bits",
     ),
 ]
 
@@ -283,6 +295,11 @@ def source(root: Path, mutant: Mutant) -> Path:
     return root / PACKAGE / mutant.file
 
 
+def cap_memory() -> None:
+    """Run in the child before it starts: cap its address space at ``MEMORY`` bytes."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
+
+
 def run_tier1(tree: Path, argv: list[str]) -> tuple[str, float, str]:
     """Run argv in tree: ("passed" | "failed" | "timeout", seconds, first failing test)."""
     env = dict(os.environ)
@@ -297,6 +314,7 @@ def run_tier1(tree: Path, argv: list[str]) -> tuple[str, float, str]:
         stderr=subprocess.STDOUT,
         text=True,
         start_new_session=True,
+        preexec_fn=cap_memory,
     )
     try:
         out, _ = proc.communicate(timeout=TIMEOUT)
