@@ -50,14 +50,14 @@ EXIT_INCONSISTENT = 3
 
 #: the most brute-force trials ``--trials`` accepts, on verify-lemma and selftest
 TRIALS_CEILING = 100_000
-#: the largest verify-lemma ``--prime``: 200 trials at the prime below it take about 8 to 14 s
+#: the largest verify-lemma ``--prime``: 200 trials at the prime below it take about 9 to 12 s
 LEMMA_PRIME_CEILING = 10**5
 #: the largest selftest ``--max-prime`` and ``--max-degree``: with the other flags at
 #: their defaults, a sweep at either ceiling takes under 30 s
 MAX_PRIME_CEILING = 101
 MAX_DEGREE_CEILING = 200
 #: the largest ``--bound`` admissible and forced-genus accept: at it, forced-genus takes
-#: about 3.5 s and 207 MB with --format json (3 s and 195 MB as a table), and admissible at
+#: about 3.3 s and 200 MB with --format json (2.4 s and 106 MB as a table), and admissible at
 #: a square degree, whose scan runs to the bound, about 0.5 s and 55 MB
 BOUND_CEILING = 10**7
 #: the most characters ``--genus-file`` may hold, checked before it is parsed: a point with -1
@@ -150,9 +150,13 @@ def _emit(payload: dict, rows: list[tuple[str, str]], fmt: str) -> None:
     if fmt == "json":
         print(_json_text(payload))
     else:
-        width = max(len(key) for key, _ in rows)
-        for key, value in rows:
-            print(f"{key.ljust(width)}  {value}")
+        _table(rows)
+
+
+def _table(rows: list[tuple[str, str]]) -> None:
+    width = max(len(key) for key, _ in rows)
+    for key, value in rows:
+        print(f"{key.ljust(width)}  {value}")
 
 
 def _check_ceiling(flag: str, value: int, ceiling: int) -> None:
@@ -242,11 +246,19 @@ def _cmd_admissible(args) -> int:
 def _cmd_forced_genus(args) -> int:
     _check_ceiling("--bound", args.bound, BOUND_CEILING)
     report = obstruction.forced_genus(args.degree, args.bound)
-    payload = {"command": "forced-genus", **report.to_json_dict()}
+    if args.format == "json":
+        print(_json_text({"command": "forced-genus", **report.to_json_dict()}))
+        return EXIT_OK
+    # from the report, not the JSON document, in runs: no list holds a string per forced prime
+    forced, run = report.forced, 4096
+    runs = (
+        " ".join(f"{p}:{SIGN_TEXT[s]}" for p, s in forced[i : i + run])
+        for i in range(0, len(forced), run)
+    )
     rows = [
         ("degree", str(report.degree)),
         ("bound", str(report.bound)),
-        ("forced", " ".join(f"{p}:{s}" for p, s in payload["forced"].items()) or "(none)"),
+        ("forced", " ".join(runs) or "(none)"),
         ("free", ",".join(str(p) for p in report.free)),
         ("free primes over all of Z", str(report.free_count_total)),
         (
@@ -254,7 +266,7 @@ def _cmd_forced_genus(args) -> int:
             str(report.max_surviving),
         ),
     ]
-    _emit(payload, rows, args.format)
+    _table(rows)
     return EXIT_OK
 
 

@@ -22,8 +22,9 @@ residues of the exact integer routes because reduction and truncation are
 ring homomorphisms.  t^n has skeletal filtration 2n, so the filtration cut
 at 2p+3 that the comparison needs is truncation at order p+2.  The unknown
 terms of psi^p lie in filtration >= 2p+3, so they vanish at that order and
-are not modelled.  The brute force checks its arguments once per call; per
-trial, ``_routes_agree`` expands ``_lhs`` and ``psi_apply`` from one S.
+are not modelled.  The brute force checks its arguments once per call and
+draws many trials' maps at once; per trial, ``_routes_agree`` expands
+``_lhs`` and ``psi_apply`` in full from one S, built by ``_pullback``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import bisect
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .adams import psi_apply
 from .primes import is_prime
@@ -218,25 +219,23 @@ class DegreeMapModel:
             check_int("higher coefficient", c)
         object.__setattr__(self, "higher", higher)
 
-    @classmethod
-    def _trusted(cls, degree: int, higher: tuple[int, ...]) -> "DegreeMapModel":
-        # a checked degree and a tuple of drawn ints: nothing is validated again
-        model = object.__new__(cls)
-        object.__setattr__(model, "degree", degree)
-        object.__setattr__(model, "higher", higher)
-        return model
-
     def as_series(self, order: int) -> TruncatedSeries:
         """degree * t^2 plus the higher terms, truncated to the given order."""
         coeffs = ((0, 0, self.degree) + self.higher)[: check_int("order", order, 1)]
         return TruncatedSeries._trusted(order, coeffs + (0,) * (order - len(coeffs)), None)
 
 
-def _pullback(p: int, f: DegreeMapModel) -> TruncatedSeries:
-    """S = f.as_series(p + 2).reduce(p^2), built once: f's ints are already checked."""
-    n, m = p + 2, p * p
-    coeffs = ((0, 0, f.degree) + f.higher)[:n]
-    return TruncatedSeries._trusted(n, [c % m for c in coeffs] + [0] * (n - len(coeffs)), m)
+def _pullback(p: int, degree: int, higher: Iterable[int]) -> TruncatedSeries:
+    """S mod p^2 at order p + 2: degree * t^2, then at most p - 1 residues mod p^2 from t^3."""
+    m = p * p
+    coeffs = (0, 0, degree % m, *higher)
+    return TruncatedSeries._trusted(p + 2, coeffs + (0,) * (p + 2 - len(coeffs)), m)
+
+
+def _model_pullback(p: int, f: DegreeMapModel) -> TruncatedSeries:
+    # f.as_series(p + 2).reduce(p^2) for the public routes: f's checked slots may be any ints
+    m = p * p
+    return _pullback(p, f.degree, [c % m for c in f.higher[: p - 1]])
 
 
 def _lhs(p: int, epsilon: Sign, s: TruncatedSeries) -> TruncatedSeries:
@@ -248,9 +247,8 @@ def _lhs(p: int, epsilon: Sign, s: TruncatedSeries) -> TruncatedSeries:
     return s**p + s ** ((p + 1) // 2) * (2 * epsilon * p)
 
 
-def _routes_agree(p: int, epsilon: Sign, f: DegreeMapModel) -> bool:
-    """Whether both routes give f the same t^(p+1) coefficient mod p^2, unchecked."""
-    s = _pullback(p, f)
+def _routes_agree(p: int, epsilon: Sign, s: TruncatedSeries) -> bool:
+    """Whether both routes give the pullback S the same t^(p+1) coefficient mod p^2, unchecked."""
     return _lhs(p, epsilon, s).coeffs[p + 1] == psi_apply(p, s).coeffs[p + 1]
 
 
@@ -263,7 +261,7 @@ def psi_then_pullback(p: int, epsilon: Sign, f: DegreeMapModel) -> TruncatedSeri
     check_sign(epsilon)
     check_prime("p", p, 3)
     check_degree_prime_to(check_type("f", f, DegreeMapModel).degree, p)
-    return _lhs(p, epsilon, _pullback(p, f))
+    return _lhs(p, epsilon, _model_pullback(p, f))
 
 
 def pullback_then_psi(p: int, f: DegreeMapModel) -> TruncatedSeries:
@@ -272,7 +270,7 @@ def pullback_then_psi(p: int, f: DegreeMapModel) -> TruncatedSeries:
     A residue series mod p^2 in (Z/p^2)[t]/(t^(p+2)).
     """
     check_prime("p", p, 3)
-    return psi_apply(p, _pullback(p, check_type("f", f, DegreeMapModel)))
+    return psi_apply(p, _model_pullback(p, check_type("f", f, DegreeMapModel)))
 
 
 # -- seeded random models ----------------------------------------------------
@@ -287,28 +285,51 @@ def pullback_then_psi(p: int, f: DegreeMapModel) -> TruncatedSeries:
 # ``getrandbits(32 * j)`` returns the next j words, the first in the lowest
 # bits, so the values still missing are drawn as one int and each word is read
 # by its top byte.  ``_SIGNED`` translates that byte straight to the slot's
-# value as a signed byte, which ``array("b")`` reads back, and the rejected
-# bytes are deleted; the next batch makes up for them: the same values, and
-# the same generator state afterwards.
+# value as a signed byte, and the rejected bytes are deleted; the next batch
+# makes up for them: the same values, and the same generator state afterwards.
 DRAW_BOUND = 9
 #: top byte b of a word -> the slot value (b >> 3) - DRAW_BOUND, as a two's-complement byte
 _SIGNED = bytes((b >> 3) - DRAW_BOUND & 0xFF for b in range(256))
 _REJECTED = bytes(range((2 * DRAW_BOUND + 1) << 3, 256))
+#: the most values a verdict draws at once after its first trial; one trial at p = 99991
+_CHUNK_VALUES = 1 << 12
+
+
+def _draw(rng: random.Random, count: int) -> bytearray:
+    """count values of ``rng.randrange(-DRAW_BOUND, DRAW_BOUND + 1)`` as two's-complement
+    bytes, leaving rng where count such calls leave it: one ``getrandbits`` call per batch."""
+    values = bytearray()
+    while len(values) < count:
+        need = count - len(values)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        values += words[3::4].translate(_SIGNED, _REJECTED)
+    return values
 
 
 def random_degree_map(rng: random.Random, degree: int, order: int) -> DegreeMapModel:
     """A degree map with every higher slot t^3..t^(order-1) drawn from [-DRAW_BOUND, DRAW_BOUND].
 
     The slots are the values of ``rng.randrange(-DRAW_BOUND, DRAW_BOUND + 1)``
-    called order - 3 times, and rng is left in the same state, but the words
-    are drawn in batches, one ``getrandbits`` call per batch.
+    called order - 3 times, and rng is left in the same state.
     """
     check_type("rng", rng, random.Random)
     check_degree(degree)
-    higher = array("b")
-    need = check_int("order", order, 1) - 3
-    while need > 0:
-        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        higher.frombytes(words[3::4].translate(_SIGNED, _REJECTED))
-        need = order - 3 - len(higher)
-    return DegreeMapModel._trusted(degree, tuple(higher))
+    return DegreeMapModel(degree, array("b", _draw(rng, check_int("order", order, 1) - 3)))
+
+
+def _trial_pullbacks(rng: random.Random, p: int, degree: int, trials: int) -> Iterator:
+    """``_model_pullback(p, random_degree_map(rng, degree, p + 2))`` for each trial, unchecked.
+
+    The draw is exact, so the first trial drawn alone (where a failing verdict stops) and the
+    rest in chunks get the same values; each slot's residue mod p^2 is read off a table.
+    """
+    m, width = p * p, p - 1
+    table = {v & 0xFF: v % m for v in range(-DRAW_BOUND, DRAW_BOUND + 1)}
+    chunk = 1
+    while trials > 0:
+        chunk = min(chunk, trials)
+        raw = _draw(rng, chunk * width)
+        for i in range(0, chunk * width, width):
+            yield _pullback(p, degree, map(table.__getitem__, raw[i : i + width]))
+        trials -= chunk
+        chunk = max(1, _CHUNK_VALUES // width)

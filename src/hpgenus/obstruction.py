@@ -24,15 +24,15 @@ from .genus import (
     RectorInvariant,
     Sign,
     _routes_agree,
+    _trial_pullbacks,
     check_degree,
     check_degree_prime_to,
     check_prime,
     check_sign,
-    random_degree_map,
 )
-# unused here but bound: bench/spans.py traces calls through obstruction.psi_then_pullback
-# and obstruction.pullback_then_psi; the brute force asks genus._routes_agree instead
-from .genus import psi_then_pullback, pullback_then_psi  # noqa: F401
+# unused here but bound: bench/spans.py traces calls through these three names on
+# obstruction; the brute force asks genus._trial_pullbacks and genus._routes_agree instead
+from .genus import psi_then_pullback, pullback_then_psi, random_degree_map  # noqa: F401
 # is_prime is unused here but stays bound: bench/spans.py traces calls through obstruction.is_prime
 from .primes import (  # noqa: F401
     PRIME_TEST_CEILING,
@@ -97,10 +97,10 @@ def compatible_bruteforce(
     on all inputs and any seed; the default seed makes verdicts
     reproducible bit for bit.
 
-    The arguments are checked once per call.  Each trial then draws a map
-    and asks ``genus._routes_agree`` whether both routes agree on it: that
-    builds the map's pullback S mod p^2 once and expands each route from it
-    as the public routes do.
+    The arguments are checked once per call.  ``genus._trial_pullbacks``
+    then draws the maps in chunks and builds each one's pullback S mod p^2,
+    and each trial asks ``genus._routes_agree`` whether both routes agree
+    on S, each expanded in full as the public routes expand it.
     """
     check_sign(epsilon)
     check_prime("p", p, 3)
@@ -108,10 +108,7 @@ def compatible_bruteforce(
     check_int("trials", trials, 1)
     check_int("seed", seed)
     rng = random.Random(f"{seed}:{p}:{k}")
-    for _ in range(trials):
-        if not _routes_agree(p, epsilon, random_degree_map(rng, k, p + 2)):
-            return False
-    return True
+    return all(_routes_agree(p, epsilon, s) for s in _trial_pullbacks(rng, p, k, trials))
 
 
 @dataclass(frozen=True)

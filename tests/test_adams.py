@@ -239,7 +239,7 @@ class TestResidueTable:
         rhs = k * square[p + 1] % m
         lhs = 2 * epsilon * p * pow(k, (p + 1) // 2, m) % m
         assert genus.pullback_then_psi(p, f).coeffs[p + 1] == rhs
-        assert genus._routes_agree(p, epsilon, f) == (lhs == rhs)
+        assert genus._routes_agree(p, epsilon, genus._model_pullback(p, f)) == (lhs == rhs)
 
 
 class TestCompositionLaw:

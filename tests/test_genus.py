@@ -282,7 +282,7 @@ class TestRandomModels:
             f = random_degree_map(rng, 1, count + 3)
             expected = [reference.randrange(-9, 10) for _ in range(count)]
             assert list(f.higher) == expected, seed
-            # the trusted model is the model the checked constructor builds
+            # the drawn model is the model the checked constructor builds from the values
             validated = DegreeMapModel(1, tuple(expected))
             assert f == validated and hash(f) == hash(validated), seed
             assert rng.getstate() == reference.getstate(), seed

@@ -40,6 +40,15 @@ def test_every_edit_finds_its_text_exactly_once(label, mutant, must_die):
             "tests/test_x.py::test_y[1]",
         ),
         ("1 passed", ""),
+        (
+            "tests/test_x.py::test_y PASSED [ 50%]\n"
+            "tests/test_x.py::TestZ::test_w[1 - 2] INTERNALERROR> MemoryError",
+            "tests/test_x.py::TestZ::test_w[1 - 2]",
+        ),
+        (
+            "tests/test_x.py::test_y PASSED [ 50%]\ntests/test_x.py::test_z ",
+            "tests/test_x.py::test_z",
+        ),
     ],
 )
 def test_the_first_failure_is_read_to_the_end_of_its_id(summary, expected):

@@ -157,26 +157,64 @@ class TestCompatibleBruteforce:
                     expected = compatible_bruteforce_reference(p, epsilon, k, 40, seed)
                     assert compatible_bruteforce(p, epsilon, k, trials=40, seed=seed) is expected
 
-    @pytest.mark.parametrize("epsilon, trials, draws", [(1, 37, 37), (-1, 37, 1), (1, 1, 1)])
-    def test_one_map_drawn_per_trial_run(self, monkeypatch, epsilon, trials, draws):
-        # (2/7) = +1: a pass runs every trial, a fail stops after the first.  The
-        # benchmark counts trials at obstruction.random_degree_map and psi calls at
-        # genus.psi_apply: a trial must look both up there, once each
+    @pytest.mark.parametrize(
+        "epsilon, trials, draws, values", [(1, 37, 37, 37 * 6), (-1, 37, 1, 6), (1, 1, 1, 6)]
+    )
+    def test_one_map_drawn_per_trial_run(self, monkeypatch, epsilon, trials, draws, values):
+        # (2/7) = +1: a pass runs every trial, a fail stops after the first, having drawn
+        # the p - 1 = 6 values of that trial's map and no more.  The benchmark counts psi
+        # calls at genus.psi_apply: a trial must look it up there, once
         calls = Counter()
+        real_psi, real_draw = hpgenus.genus.psi_apply, hpgenus.genus._draw
 
-        def counted(module, name):
-            real = getattr(module, name)
+        def counting_psi(*args):
+            calls["psi_apply"] += 1
+            return real_psi(*args)
 
-            def counting(*args):
-                calls[name] += 1
-                return real(*args)
+        def counting_draw(rng, count):
+            calls["values"] += count
+            return real_draw(rng, count)
 
-            monkeypatch.setattr(module, name, counting)
-
-        counted(hpgenus.obstruction, "random_degree_map")
-        counted(hpgenus.genus, "psi_apply")
+        monkeypatch.setattr(hpgenus.genus, "psi_apply", counting_psi)
+        monkeypatch.setattr(hpgenus.genus, "_draw", counting_draw)
         assert compatible_bruteforce(7, epsilon, 2, trials=trials) is (epsilon == 1)
-        assert calls == {"random_degree_map": draws, "psi_apply": draws}
+        assert calls == {"values": values, "psi_apply": draws}
+
+    @pytest.mark.parametrize(
+        "p, epsilon, k, seed, chunk_values",
+        [
+            (3, 1, 1, 0, None),  # mod 9 the drawable 9 and -9 both reduce to 0
+            (3, -1, 1, 4, None),
+            (7, 1, 2, 0, None),  # the first trial alone, then one chunk of the other 199
+            (7, 1, 2, 3, 50),  # after the first trial, chunks of 8 trials and a last one of 7
+            (7, -1, 2, 0, None),  # a failing verdict: one trial
+            (31, -1, 2, 1, 100),  # (2/31) = +1: fails
+            (31, 1, -3, 2, 100),  # (-3/31) = +1: chunks of 3 trials and a last one of 1
+        ],
+    )
+    def test_each_trial_reads_the_map_random_degree_map_draws(
+        self, monkeypatch, p, epsilon, k, seed, chunk_values
+    ):
+        """Each S the trial loop hands to psi_apply is the reduced pullback of the map that
+        random_degree_map draws from the same seeded generator, trial by trial."""
+        seen = []
+        real_psi = hpgenus.genus.psi_apply
+
+        def recording(r, s):
+            seen.append(s)
+            return real_psi(r, s)
+
+        monkeypatch.setattr(hpgenus.genus, "psi_apply", recording)
+        if chunk_values is not None:
+            monkeypatch.setattr(hpgenus.genus, "_CHUNK_VALUES", chunk_values)
+        passes = compatible_bruteforce(p, epsilon, k, trials=200, seed=seed)
+        assert passes is compatible(p, epsilon, k)
+        assert len(seen) == (200 if passes else 1)
+        rng = random.Random(f"{seed}:{p}:{k}")
+        m = p * p
+        for trial, s in enumerate(seen):
+            expected = random_degree_map(rng, k, p + 2).as_series(p + 2).reduce(m)
+            assert (s, s.modulus) == (expected, m), trial
 
 
 class TestAdmissible:

@@ -4,7 +4,7 @@ Usage, from the root of a checkout: ``python3 tools/mutants.py`` runs the
 baseline, then every mutant.
 
 Each run copies the tree to a temporary directory, makes one edit there and runs
-the tier-1 command with ``-x`` under a wall timeout of ``TIMEOUT`` seconds and
+the tier-1 command with ``-v -x`` under a wall timeout of ``TIMEOUT`` seconds and
 an address-space cap of ``MEMORY`` bytes: a mutant of the rho loop can spin
 forever, and a mutant of a product or a reduction can make ``_powers`` run
 past the zero power with ever larger coefficients; a timeout counts as a kill,
@@ -37,8 +37,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src") / "hpgenus"
-#: the tier-1 command, stopping at the first failure
-TIER1 = [sys.executable, "-m", "pytest", "-q", "-x"]
+#: the tier-1 command, stopping at the first failure and naming each test as it starts
+TIER1 = [sys.executable, "-m", "pytest", "-v", "-x"]
 #: seconds per tier-1 run
 TIMEOUT = 300
 #: bytes of address space per tier-1 run; the unmutated suite fits well inside it
@@ -200,8 +200,8 @@ MUTANTS = [
     ),
     Mutant(
         "cli.py",
-        '" ".join(f"{p}:{s}" for p, s in payload["forced"].items())',
-        '",".join(f"{p}:{s}" for p, s in payload["forced"].items())',
+        '" ".join(f"{p}:{SIGN_TEXT[s]}" for p, s in forced[i : i + run])',
+        '",".join(f"{p}:{SIGN_TEXT[s]}" for p, s in forced[i : i + run])',
         "forced-genus's table joins the forced signs with commas",
     ),
     Mutant(
@@ -234,6 +234,26 @@ MUTANTS = [
         'int.from_bytes(data[i : i + size], "little")',
         'int.from_bytes(data[i : i + size - 1], "little")',
         "_slots drops the top byte of a wide slot: bytes-slot products lose their high bits",
+    ),
+    Mutant(
+        "genus.py",
+        "map(table.__getitem__, raw[i : i + width])",
+        "map(table.__getitem__, raw[i + 1 : i + width + 1])",
+        "a chunk's trial slice starts one value late: each trial reads its neighbour's values",
+    ),
+    Mutant(
+        "genus.py",
+        "{v & 0xFF: v % m for v in",
+        "{v & 0xFF: abs(v) % m for v in",
+        "the residue table maps -9 to the residue of 9, and so on for every negative value",
+    ),
+    Mutant(
+        "genus.py",
+        "    chunk = 1\n    while trials > 0:\n",
+        "    chunk, start = 1, rng.getstate()\n"
+        "    while trials > 0:\n"
+        "        rng.setstate(start)\n",
+        "every chunk restarts the generator: the second chunk repeats the first trial's values",
     ),
 ]
 
@@ -280,6 +300,12 @@ EQUIVALENT = [
         "y = x if b is a else _pack(b, size)\n    return [c % modulus",
         "y = _pack(b, size)\n    return [c % modulus",
         "packing the same residues again gives the same int: a square by one pack is speed",
+    ),
+    Mutant(
+        "genus.py",
+        "_CHUNK_VALUES = 1 << 12",
+        "_CHUNK_VALUES = 1",
+        "the draw is exact, so a chunk of one trial each gives every trial the same values",
     ),
 ]
 
@@ -334,10 +360,15 @@ def first_failure(out: str) -> str:
     """The id of the first FAILED or ERROR line in pytest's summary, "" if there is none.
 
     A parametrized id can hold spaces, so it is read to the ``]`` that ends it: the one
-    followed by the end of the line or by the `` - `` before the message.
+    followed by the end of the line or by the `` - `` before the message.  A run with no
+    summary, such as one that pytest stops with a ``MemoryError`` in its own output capture,
+    names the last test its verbose output started, whose id begins a line.
     """
     first = re.search(r"^(?:FAILED|ERROR) (\S+?\[.*?\](?= - |$)|\S+)", out, re.MULTILINE)
-    return first.group(1) if first else ""
+    if first:
+        return first.group(1)
+    started = re.findall(r"^(\S+::\S+?\[.*?\](?= |$)|\S+::\S+)", out, re.MULTILINE)
+    return started[-1] if started else ""
 
 
 def run_one(mutant: Mutant | None) -> tuple[str, float, str]:
