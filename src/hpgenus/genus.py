@@ -23,8 +23,8 @@ ring homomorphisms.  t^n has skeletal filtration 2n, so the filtration cut
 at 2p+3 that the comparison needs is truncation at order p+2.  The unknown
 terms of psi^p lie in filtration >= 2p+3, so they vanish at that order and
 are not modelled.  The brute force checks its arguments once per call and
-draws many trials' maps at once; per trial, ``_routes_agree`` expands
-``_lhs`` and ``psi_apply`` in full from one S, built by ``_pullback``.
+draws many trials' maps at once; ``_trials_agree`` builds each trial's S
+with ``_pullback`` and expands ``_lhs`` and ``psi_apply`` from it in full.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import bisect
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .adams import psi_apply
 from .primes import is_prime
@@ -247,11 +247,6 @@ def _lhs(p: int, epsilon: Sign, s: TruncatedSeries) -> TruncatedSeries:
     return s**p + s ** ((p + 1) // 2) * (2 * epsilon * p)
 
 
-def _routes_agree(p: int, epsilon: Sign, s: TruncatedSeries) -> bool:
-    """Whether both routes give the pullback S the same t^(p+1) coefficient mod p^2, unchecked."""
-    return _lhs(p, epsilon, s).coeffs[p + 1] == psi_apply(p, s).coeffs[p + 1]
-
-
 def psi_then_pullback(p: int, epsilon: Sign, f: DegreeMapModel) -> TruncatedSeries:
     """Apply psi^p upstairs, then pull back along f.  A residue series mod p^2.
 
@@ -317,12 +312,14 @@ def random_degree_map(rng: random.Random, degree: int, order: int) -> DegreeMapM
     return DegreeMapModel(degree, array("b", _draw(rng, check_int("order", order, 1) - 3)))
 
 
-def _trial_pullbacks(rng: random.Random, p: int, degree: int, trials: int) -> Iterator:
-    """``_model_pullback(p, random_degree_map(rng, degree, p + 2))`` for each trial, unchecked.
+def _trials_agree(p: int, epsilon: Sign, degree: int, trials: int, seed: int) -> bool:
+    """Whether both routes agree at t^(p+1) mod p^2 on each of the verdict's seeded maps, unchecked.
 
-    The draw is exact, so the first trial drawn alone (where a failing verdict stops) and the
-    rest in chunks get the same values; each slot's residue mod p^2 is read off a table.
+    Trial i's map is ``random_degree_map(rng, degree, p + 2)``'s i-th draw.  The draw is exact,
+    so the first trial drawn alone (where a failing verdict stops) and the rest in chunks get
+    the same values; each slot's residue mod p^2 is read off a table.
     """
+    rng = random.Random(f"{seed}:{p}:{degree}")
     m, width = p * p, p - 1
     table = {v & 0xFF: v % m for v in range(-DRAW_BOUND, DRAW_BOUND + 1)}
     chunk = 1
@@ -330,6 +327,9 @@ def _trial_pullbacks(rng: random.Random, p: int, degree: int, trials: int) -> It
         chunk = min(chunk, trials)
         raw = _draw(rng, chunk * width)
         for i in range(0, chunk * width, width):
-            yield _pullback(p, degree, map(table.__getitem__, raw[i : i + width]))
+            s = _pullback(p, degree, map(table.__getitem__, raw[i : i + width]))
+            if _lhs(p, epsilon, s).coeffs[p + 1] != psi_apply(p, s).coeffs[p + 1]:
+                return False
         trials -= chunk
         chunk = max(1, _CHUNK_VALUES // width)
+    return True

@@ -15,7 +15,6 @@ never "a map exists": the test is a necessary condition only.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -23,15 +22,14 @@ from .genus import (
     SIGN_TEXT,
     RectorInvariant,
     Sign,
-    _routes_agree,
-    _trial_pullbacks,
+    _trials_agree,
     check_degree,
     check_degree_prime_to,
     check_prime,
     check_sign,
 )
 # unused here but bound: bench/spans.py traces calls through these three names on
-# obstruction; the brute force asks genus._trial_pullbacks and genus._routes_agree instead
+# obstruction; the brute force asks genus._trials_agree instead
 from .genus import psi_then_pullback, pullback_then_psi, random_degree_map  # noqa: F401
 # is_prime is unused here but stays bound: bench/spans.py traces calls through obstruction.is_prime
 from .primes import (  # noqa: F401
@@ -97,18 +95,16 @@ def compatible_bruteforce(
     on all inputs and any seed; the default seed makes verdicts
     reproducible bit for bit.
 
-    The arguments are checked once per call.  ``genus._trial_pullbacks``
-    then draws the maps in chunks and builds each one's pullback S mod p^2,
-    and each trial asks ``genus._routes_agree`` whether both routes agree
-    on S, each expanded in full as the public routes expand it.
+    The arguments are checked once per call.  ``genus._trials_agree`` then
+    draws the maps in chunks, builds each one's pullback S mod p^2 and
+    expands both routes from S in full, as the public routes expand them.
     """
     check_sign(epsilon)
     check_prime("p", p, 3)
     check_degree_prime_to(k, p)
     check_int("trials", trials, 1)
     check_int("seed", seed)
-    rng = random.Random(f"{seed}:{p}:{k}")
-    return all(_routes_agree(p, epsilon, s) for s in _trial_pullbacks(rng, p, k, trials))
+    return _trials_agree(p, epsilon, k, trials, seed)
 
 
 @dataclass(frozen=True)

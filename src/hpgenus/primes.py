@@ -67,11 +67,11 @@ def odd_primes_upto(bound: int) -> list[int]:
     """All odd primes p <= bound, ascending."""
     if check_int("bound", bound) < 3:
         return []
+    # only odd indices from 3 up are read, so only odd multiples of odd primes are struck
     sieve = bytearray((1,)) * (bound + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(bound) + 1):
+    for p in range(3, math.isqrt(bound) + 1, 2):
         if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+            sieve[p * p :: 2 * p] = bytes(len(range(p * p, bound + 1, 2 * p)))
     return list(itertools.compress(range(3, bound + 1, 2), sieve[3::2]))
 
 

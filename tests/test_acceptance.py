@@ -96,12 +96,11 @@ def test_criterion_3_bruteforce_equals_criterion():
 
 def test_criterion_4_legendre_against_enumeration():
     """Euler-criterion symbol equals exhaustive square enumeration for all
-    odd p <= 199 and all k in [1, p), and is multiplicative in k."""
+    odd p <= 199 and all k in [1, p).  Multiplicativity in k is pinned by
+    tests/test_obstruction.py::TestLegendre::test_multiplicative."""
     started = time.perf_counter()
     result = selftest.legendre_oracle_suite()
-    _report_suites(
-        4, "Legendre symbol vs square enumeration and multiplicativity", started, result
-    )
+    _report_suites(4, "Legendre symbol vs square enumeration", started, result)
 
 
 def test_criterion_5_adams_operation_laws():

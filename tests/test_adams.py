@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from hpgenus import adams, genus
 from hpgenus.adams import check_composition, check_frobenius, psi_apply, psi_generator
+from hpgenus.obstruction import compatible_bruteforce
 from hpgenus.series import TruncatedSeries
 
 from oracles import pascal_binomial, psi_rows_mod_p_squared, schoolbook_compose, schoolbook_mul
@@ -210,14 +211,15 @@ class TestResidueTable:
         assert [list(row.coeffs) for row in rows] == list(psi_rows_mod_p_squared(p))
         assert all(row.modulus == p * p for row in rows)
 
-    #: a prime whose table is read through bytes slots
-    BYTES_SLOT_PRIME = 7151
+    #: primes whose tables are read through bytes slots: every slot of 7151's reads has a
+    #: zero top byte, and some slot of 10007's reads has a non-zero one
+    BYTES_SLOT_PRIMES = (7151, 10007)
 
+    @pytest.mark.parametrize("p", BYTES_SLOT_PRIMES)
     @pytest.mark.parametrize("s1, s2", [(0, 0), (0, 5), (7, 0), (7, 5), (-1, -1)])
-    def test_residue_psi_apply_is_the_closed_form_rows(self, s1, s2):
+    def test_residue_psi_apply_is_the_closed_form_rows(self, s1, s2, p):
         # psi^p(S) = S_1 g + S_2 g^2 mod p^2: the table has two rows, and a zero S_1 leaves
         # the g^2 row, whose one non-zero coefficient is at t^(p+1)
-        p = self.BYTES_SLOT_PRIME
         m, n = p * p, p + 2
         rng = random.Random(p)
         coeffs = [0, s1, s2] + [rng.randrange(m) for _ in range(n - 3)]
@@ -226,20 +228,21 @@ class TestResidueTable:
         assert got.modulus == m
         assert list(got.coeffs) == [(s1 * a + s2 * b) % m for a, b in zip(g, square)]
 
+    @pytest.mark.parametrize("p", BYTES_SLOT_PRIMES)
     @pytest.mark.parametrize("epsilon", [1, -1])
     @pytest.mark.parametrize("k", [2, 3, -5, 12])
-    def test_routes_agree_on_the_closed_form_rows(self, k, epsilon):
+    def test_routes_agree_on_the_closed_form_rows(self, k, epsilon, p):
         # the pullback is S = k t^2 + ..., so the right route's t^(p+1) coefficient is
         # S_1 g_(p+1) + S_2 (g^2)_(p+1) with S_1 = 0; the left route's is
         # 2 epsilon p k^((p+1)/2), S^p being zero at order p+2
-        p = self.BYTES_SLOT_PRIME
         m = p * p
         _, square = psi_rows_mod_p_squared(p)
         f = genus.random_degree_map(random.Random(k), k, p + 2)
         rhs = k * square[p + 1] % m
         lhs = 2 * epsilon * p * pow(k, (p + 1) // 2, m) % m
+        assert genus.psi_then_pullback(p, epsilon, f).coeffs[p + 1] == lhs
         assert genus.pullback_then_psi(p, f).coeffs[p + 1] == rhs
-        assert genus._routes_agree(p, epsilon, genus._model_pullback(p, f)) == (lhs == rhs)
+        assert compatible_bruteforce(p, epsilon, k, trials=2) is (lhs == rhs)
 
 
 class TestCompositionLaw:

@@ -10,8 +10,8 @@ One symbol rule: the Euler power ``_symbol`` is called only by the scan helper `
 which reads a square degree's +1 without it, and by the single-prime queries.
 One linear pass rule: a comprehension of any kind that reduces ``% m`` or ``% modulus``
 appears only in ``_combination``, in the int scaling a brute-force trial runs once, in the
-residue table a brute-force verdict builds once, in the public routes' pullback of a model
-and in ``_mul``'s read-back.
+residue table a brute-force verdict's ``_trials_agree`` builds once, in the public routes'
+pullback of a model and in ``_mul``'s read-back.
 Module boundaries: a private name crosses from one module to another only where it is listed.
 """
 
@@ -79,7 +79,7 @@ LINEAR_PASSES = {
     "large-prime",
     ("series.py", "TruncatedSeries.__mul__"): "the int scaling, once per trial in sweep and "
     "large-prime: through _combination, h * c at p = 31 took 2.9 us, not 1.9 us",
-    ("genus.py", "_trial_pullbacks"): "the residue table of the 19 drawable values, once per "
+    ("genus.py", "_trials_agree"): "the residue table of the 19 drawable values, once per "
     "verdict in sweep and large-prime: a trial reads its p - 1 slots off it, and at p = 99991 "
     "its S took 3.2 ms that way, not 6.0 ms from a drawn model reduced by c % m",
     ("genus.py", "_model_pullback"): "the public routes' pullback of a model, whose slots are "
@@ -96,9 +96,8 @@ CROSS_MODULE_PRIVATE = {
     ("genus.py", "_trusted"): "the kernel's unchecked constructor, for a pullback built from "
     "a checked model's ints or from residues read off the trial's table",
     ("obstruction.py", "_trusted"): "example_xp's point, at the prime it has just checked",
-    ("obstruction.py", "_routes_agree"): "the brute force's trial, after one check per call",
-    ("obstruction.py", "_trial_pullbacks"): "the brute force's maps, drawn from the verdict's "
-    "own seeded generator after one check per call",
+    ("obstruction.py", "_trials_agree"): "the brute force's verdict, after one check per call: "
+    "its seeded maps drawn and both routes compared on each",
     ("cli.py", "_admissible"): "checked once: the --bound scan over the sieve's primes and "
     "example-xp's point at its checked prime",
     ("cli.py", "_symbol"): "checked once: example-xp's symbol at its checked prime",

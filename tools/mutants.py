@@ -176,9 +176,9 @@ MUTANTS = [
     ),
     Mutant(
         "genus.py",
-        "return _lhs(p, epsilon, s).coeffs[p + 1] == psi_apply(p, s).coeffs[p + 1]",
-        "return _lhs(p, epsilon, s).coeffs[p] == psi_apply(p, s).coeffs[p]",
-        "_routes_agree reads t^p, not t^(p+1)",
+        "if _lhs(p, epsilon, s).coeffs[p + 1] != psi_apply(p, s).coeffs[p + 1]:",
+        "if _lhs(p, epsilon, s).coeffs[p] != psi_apply(p, s).coeffs[p]:",
+        "_trials_agree compares t^p, not t^(p+1)",
     ),
     Mutant(
         "genus.py",
@@ -255,6 +255,18 @@ MUTANTS = [
         "        rng.setstate(start)\n",
         "every chunk restarts the generator: the second chunk repeats the first trial's values",
     ),
+    Mutant(
+        "genus.py",
+        "psi_apply(p, s).coeffs[p + 1]:\n                return False\n",
+        "psi_apply(p, s).coeffs[p + 1]:\n                continue\n",
+        "a disagreeing trial does not end the verdict: every brute-force verdict passes",
+    ),
+    Mutant(
+        "primes.py",
+        "for p in range(3, math.isqrt(bound) + 1, 2):",
+        "for p in range(3, math.isqrt(bound), 2):",
+        "the sieve stops one short of isqrt(bound): 9 reads as prime",
+    ),
 ]
 
 #: equivalent mutants: each changes no answer, for the reason given, so tier-1 passes
@@ -306,6 +318,12 @@ EQUIVALENT = [
         "_CHUNK_VALUES = 1 << 12",
         "_CHUNK_VALUES = 1",
         "the draw is exact, so a chunk of one trial each gives every trial the same values",
+    ),
+    Mutant(
+        "primes.py",
+        "sieve[p * p :: 2 * p] = bytes(len(range(p * p, bound + 1, 2 * p)))",
+        "sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))",
+        "striding by p adds zeros at even indices only, and the sieve reads none of them",
     ),
 ]
 
