@@ -234,11 +234,9 @@ def example_xp(p: int) -> tuple[RectorInvariant, int]:
 
     The witness is the smallest k with 1 < k < p that is a quadratic
     non-residue mod p, so ``compatible(p, -1, k)`` holds by construction and
-    the single-prime test cannot rule out a map of that degree.
+    the single-prime test cannot rule out a map of that degree.  The search
+    always stops below p: 1 is a residue and (p - 1)/2 of 1..p-1 are not.
     """
     check_prime("p", p, 3)
     point = RectorInvariant._trusted(1, ((p, -1),))
-    for k in range(2, p):
-        if _symbol(k, p) == -1:
-            return point, k
-    raise AssertionError(f"no non-residue in (1, {p}): {p} cannot be an odd prime")
+    return point, next(k for k in range(2, p) if _symbol(k, p) == -1)

@@ -12,14 +12,14 @@ coefficients that never grow past m.
 Two kernels do the arithmetic.  Every product and power goes through
 ``_mul``, by Kronecker substitution: the coefficients are packed into
 fixed-width slots of one Python int, the two ints are multiplied once, and
-the low N slots are read back; no slot of the product overflows into the
-next (D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
-substitution", J. Symbolic Comput. 44, 2009).  Every linear pass goes
-through ``_combination``, which adds scaled rows into one accumulator and
-reduces mod m in the same pass: sums, negation, ``reduce`` and each term of
-a composition or of ``psi_apply``.  Scaling by an int alone keeps a pass of
-its own, because each brute-force trial runs it once: through
-``_combination``, ``h * c`` at p = 31 took 2.9 us instead of 1.9 us
+only the low N slots are masked off and read back; no slot of the product
+overflows into the next (D. Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009).  Every
+linear pass goes through ``_combination``, which adds scaled rows into one
+accumulator and reduces mod m in the same pass: sums, negation, ``reduce``
+and each term of a composition or of ``psi_apply``.  Scaling by an int
+alone keeps a pass of its own, because each brute-force trial runs it once:
+through ``_combination``, ``h * c`` at p = 31 took 2.9 us instead of 1.9 us
 (Python 3.11, shared 2-vCPU Xeon).  Each pass starts at its row's first
 non-zero coefficient, and a sum with a zero summand is the other summand:
 the psi^p square's rows are mostly zero below t^(p+1).
@@ -75,8 +75,8 @@ def _pack(coeffs: Sequence[int], size: int) -> int:
 
 
 def _slots(x: int, size: int, n: int) -> Sequence[int]:
-    """The low n slots of x as unsigned values (x < 0 reads as two's complement)."""
-    data = x.to_bytes(max(size * n, x.bit_length() // 8 + 1), "little", signed=True)[: size * n]
+    """The low n slots of x, unsigned (x < 0 as two's complement); no higher byte is converted."""
+    data = (x & ((1 << 8 * size * n) - 1)).to_bytes(size * n, "little")
     if size > _WORD:
         return [int.from_bytes(data[i : i + size], "little") for i in range(0, size * n, size)]
     words = array("Q", data)

@@ -445,7 +445,7 @@ class TestExampleXp:
         assert witness == expected
         assert point == RectorInvariant(1, {p: -1})
 
-    @pytest.mark.parametrize("p", odd_primes_upto(101))
+    @pytest.mark.parametrize("p", [*odd_primes_upto(101), 100003, 1000003])
     def test_witness_is_smallest_nonresidue(self, p):
         point, witness = example_xp(p)
         assert 1 < witness < p

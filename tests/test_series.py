@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from hpgenus.selftest import ring_axiom_suite
-from hpgenus.series import TruncatedSeries, _mul
+from hpgenus.series import TruncatedSeries, _mul, _slots
 
 from oracles import schoolbook_compose, schoolbook_mul, schoolbook_pow
 
@@ -351,6 +351,24 @@ class TestKernel:
         )
         product = TruncatedSeries(n, a).reduce(m) * TruncatedSeries(n, b).reduce(m)
         assert list(product.coeffs) == [c % m for c in schoolbook_mul(a, b, n)]
+
+    @pytest.mark.parametrize("size", [8, 9, 12])
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    @pytest.mark.parametrize("kind", ["positive", "negative", "zero", "wide", "wide negative"])
+    def test_slots_are_the_low_slots_in_twos_complement(self, size, n, kind):
+        # a word slot and two bytes slots; "wide" values reach past the n slots read,
+        # as every product does
+        bits = 8 * size * n
+        rng = random.Random(f"{size}:{n}:{kind}")
+        x = {
+            "positive": rng.getrandbits(bits) | 1 << (bits - 1),
+            "negative": -(rng.getrandbits(bits - 1) | 1 << (bits - 2)),
+            "zero": 0,
+            "wide": rng.getrandbits(3 * bits) | 1 << (3 * bits - 1),
+            "wide negative": -(rng.getrandbits(3 * bits) | 1 << (3 * bits - 1)),
+        }[kind]
+        width = (1 << 8 * size) - 1
+        assert list(_slots(x, size, n)) == [(x >> (8 * size * i)) & width for i in range(n)]
 
     @given(st.integers(1, 12), st.sampled_from(MODULI), st.data())
     def test_residue_sums_and_scalings_match_the_integer_ops(self, order, m, data):

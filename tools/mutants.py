@@ -267,6 +267,18 @@ MUTANTS = [
         "for p in range(3, math.isqrt(bound), 2):",
         "the sieve stops one short of isqrt(bound): 9 reads as prime",
     ),
+    Mutant(
+        "series.py",
+        "(x & ((1 << 8 * size * n) - 1))",
+        "(x & ((1 << 8 * size * n - 8) - 1))",
+        "_slots masks one byte fewer: the top slot read back loses its high byte",
+    ),
+    Mutant(
+        "obstruction.py",
+        "if _symbol(k, p) == -1)",
+        "if _symbol(k, p) == 1)",
+        "example_xp's witness search takes the first residue, not the first non-residue",
+    ),
 ]
 
 #: equivalent mutants: each changes no answer, for the reason given, so tier-1 passes
