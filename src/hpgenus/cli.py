@@ -30,6 +30,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 
 from . import selftest
 from . import obstruction
@@ -57,7 +58,7 @@ LEMMA_PRIME_CEILING = 10**5
 MAX_PRIME_CEILING = 101
 MAX_DEGREE_CEILING = 200
 #: the largest ``--bound`` admissible and forced-genus accept: at it, forced-genus takes
-#: about 3.3 s and 200 MB with --format json (2.4 s and 106 MB as a table), and admissible at
+#: about 3.1 s and 134 MB with --format json (2.6 s and 109 MB as a table), and admissible at
 #: a square degree, whose scan runs to the bound, about 0.5 s and 55 MB
 BOUND_CEILING = 10**7
 #: the most characters ``--genus-file`` may hold, checked before it is parsed: a point with -1
@@ -66,6 +67,8 @@ GENUS_FILE_CEILING = 2**22
 #: the most characters of an error message the CLI writes: a longer one is cut there and
 #: ends with its full length, so an input it echoes cannot flood stderr
 MESSAGE_CEILING = 500
+#: prime→sign pairs formatted at a time, by forced-genus's table and by the JSON writer
+PAIRS_PER_RUN = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,35 +123,31 @@ def _load_genus(args) -> RectorInvariant:
     return RectorInvariant.from_json_dict(data)
 
 
-def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for a value on a line starting at indent.
-
-    With ``indent`` set, ``json.dumps`` takes the pure-Python encoder, which
-    builds a string per item.  Here a dict or list that holds no container is
-    written by one call of the C encoder, whose item separator carries the next
-    line's indentation, and only a container of containers is walked in Python.
-    Dict keys are strings, as in every document the CLI writes.
+def _json_document(payload: dict, key: str, pairs) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` with the prime→sign pairs spliced in
+    at ``key``'s ``{}``: sorted once by ``str(prime)``, the order ``sort_keys`` gives, and
+    written ``PAIRS_PER_RUN`` at a time by the C encoder, with the next line's indentation in
+    its item separator, where the indenting encoder would build a string per item in Python.
     """
-    containers = (dict, list, tuple)
-    if not isinstance(value, containers) or not value:
-        return json.dumps(value)
-    inner = indent + "  "
-    is_dict = isinstance(value, dict)
-    brackets = "{}" if is_dict else "[]"
-    items = value.values() if is_dict else value
-    if not any(isinstance(item, containers) for item in items):
-        body = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))[1:-1]
-    elif is_dict:
-        pairs = sorted(value.items())
-        body = ("," + inner).join(f"{json.dumps(key)}: {_json_text(v, inner)}" for key, v in pairs)
-    else:
-        body = ("," + inner).join(_json_text(item, inner) for item in value)
-    return f"{brackets[0]}{inner}{body}{indent}{brackets[1]}"
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if not pairs:
+        return text
+    start = text.index(f'"{key}": {{}}')
+    inside = start + len(key) + 5  # between the two braces
+    indent = text[text.rindex("\n", 0, start) : start]
+    sep = "," + indent + "  "
+    ordered = sorted(pairs, key=lambda pair: str(pair[0]))
+    runs = (ordered[i : i + PAIRS_PER_RUN] for i in range(0, len(ordered), PAIRS_PER_RUN))
+    body = sep.join(
+        json.dumps({str(p): SIGN_TEXT[s] for p, s in run}, separators=(sep, ": "))[1:-1]
+        for run in runs
+    )
+    return f"{text[:inside]}{sep[1:]}{body}{indent}{text[inside:]}"
 
 
-def _emit(payload: dict, rows: list[tuple[str, str]], fmt: str) -> None:
+def _emit(payload: dict, rows: list[tuple[str, str]], fmt: str, exceptions=()) -> None:
     if fmt == "json":
-        print(_json_text(payload))
+        print(_json_document(payload, "exceptions", exceptions))
     else:
         _table(rows)
 
@@ -223,7 +222,7 @@ def _cmd_admissible(args) -> int:
     payload = {
         "command": "admissible",
         "degree": args.degree,
-        "genus": genus.to_json_dict(),
+        "genus": RectorInvariant(genus.default).to_json_dict(),
         "verdict": verdict.to_json_dict(),
     }
     rendered = payload["verdict"]
@@ -239,7 +238,7 @@ def _cmd_admissible(args) -> int:
             ("actual", rendered["actual"]),
         ]
     rows.append(("skipped", ",".join(map(str, rendered["skipped"])) or "(none)"))
-    _emit(payload, rows, args.format)
+    _emit(payload, rows, args.format, genus.exceptions)
     return EXIT_OK if verdict.is_admissible else EXIT_MATH_FAIL
 
 
@@ -247,13 +246,13 @@ def _cmd_forced_genus(args) -> int:
     _check_ceiling("--bound", args.bound, BOUND_CEILING)
     report = obstruction.forced_genus(args.degree, args.bound)
     if args.format == "json":
-        print(_json_text({"command": "forced-genus", **report.to_json_dict()}))
+        payload = {"command": "forced-genus", **replace(report, forced=()).to_json_dict()}
+        print(_json_document(payload, "forced", report.forced))
         return EXIT_OK
     # from the report, not the JSON document, in runs: no list holds a string per forced prime
-    forced, run = report.forced, 4096
     runs = (
-        " ".join(f"{p}:{SIGN_TEXT[s]}" for p, s in forced[i : i + run])
-        for i in range(0, len(forced), run)
+        " ".join(f"{p}:{SIGN_TEXT[s]}" for p, s in report.forced[i : i + PAIRS_PER_RUN])
+        for i in range(0, len(report.forced), PAIRS_PER_RUN)
     )
     rows = [
         ("degree", str(report.degree)),
@@ -277,7 +276,7 @@ def _cmd_example_xp(args) -> int:
     payload = {
         "command": "example-xp",
         "prime": args.prime,
-        "genus": point.to_json_dict(),
+        "genus": RectorInvariant(point.default).to_json_dict(),
         "witness_degree": witness,
         "witness_symbol": SIGN_TEXT[obstruction._symbol(witness, args.prime)],
         "single_prime_verdict": verdict.to_json_dict(),
@@ -289,7 +288,7 @@ def _cmd_example_xp(args) -> int:
         ("witness symbol", payload["witness_symbol"]),
         (f"admissible at {{{args.prime}}}", verdict.outcome),
     ]
-    _emit(payload, rows, args.format)
+    _emit(payload, rows, args.format, point.exceptions)
     return EXIT_OK
 
 

@@ -336,11 +336,11 @@ class TruncatedSeries:
 
     def _powers(self) -> tuple["TruncatedSeries", ...]:
         # self, self^2, ... up to the first zero power, for a series with zero
-        # constant term: self^j vanishes below t^j, so every later power is
-        # zero too and there are fewer than ``order`` of them
+        # constant term: self^j vanishes below t^j, so self^order is zero and at
+        # most order - 1 powers are not; the bound ends the loop on a faulty product
         powers = []
         power = self
-        while not power.is_zero:
+        while not power.is_zero and len(powers) < self.order:
             powers.append(power)
             power = power * self
         return tuple(powers)

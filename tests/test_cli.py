@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from hpgenus import adams, cli, genus, obstruction, selftest
-from hpgenus.primes import PRIME_TEST_CEILING
+from hpgenus.primes import PRIME_TEST_CEILING, odd_primes_upto
 from hpgenus.selftest import SuiteResult
 from hpgenus.series import TruncatedSeries
 
@@ -844,43 +844,64 @@ class TestParserReuse:
         assert added == []
 
 
-#: JSON scalars as the CLI's documents hold them, and some they never do
-json_scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(-(2**200), 2**200),
-    st.floats(),
-    st.text(),
-    st.sampled_from(["", "\u00e9", "\u2028", '"quoted"\\', "tab\tline\n", "\x00", "\U0001f600"]),
+#: odd primes of one to five digits, the keys of the prime→sign maps the JSON writer splices
+SMALL_PRIMES = tuple(odd_primes_upto(50000))
+#: ascending prime→sign pairs, as a report's ``forced`` and a point's ``exceptions`` hold them
+prime_sign_pairs = st.dictionaries(st.sampled_from(SMALL_PRIMES), st.sampled_from((1, -1))).map(
+    lambda signs: tuple(sorted(signs.items()))
 )
-json_values = st.recursive(
-    json_scalars,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=3).map(tuple),
-        st.dictionaries(st.text(max_size=4), children, max_size=4),
-    ),
-    max_leaves=24,
-)
+#: the map's two positions: ``forced`` at the top level, ``exceptions`` inside ``genus``
+MAP_POSITIONS = {
+    "forced": lambda signs: {"command": "forced-genus", "degree": 3, "forced": signs, "free": [2]},
+    "exceptions": lambda signs: {
+        "command": "admissible",
+        "genus": {"default": "+1", "exceptions": signs},
+        "verdict": {"outcome": "Admissible", "skipped": []},
+    },
+}
 
 
 class TestJsonWriter:
-    """``_json_text`` writes what ``json.dumps(indent=2, sort_keys=True)`` writes, byte for byte."""
+    """``_json_document`` writes what ``json.dumps(indent=2, sort_keys=True)`` writes."""
 
-    @given(json_values)
-    @example({"b": [], "a": {}, "c": {"z": [1, [], {}], "\u00e9": "\n\"\\"}})
-    @example([True, None, 2**100, -(2**300), [[{}]], {"": ""}])
-    @example({"forced": {"5": "-1", "11": "+1", "7": "-1"}, "free": [2, 3]})
-    def test_matches_the_indenting_encoder(self, value):
-        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    @pytest.mark.parametrize("key", sorted(MAP_POSITIONS))
+    @given(prime_sign_pairs)
+    @example(())
+    @example(((3, -1), (7, 1), (11, -1), (101, 1), (1009, -1), (10007, 1)))
+    @example(tuple((p, 1 if i % 3 else -1) for i, p in enumerate(SMALL_PRIMES[:5000])))
+    def test_splices_the_map_the_indenting_encoder_writes(self, key, pairs):
+        document = MAP_POSITIONS[key]
+        signs = {str(p): genus.SIGN_TEXT[s] for p, s in pairs}
+        expected = json.dumps(document(signs), indent=2, sort_keys=True)
+        assert cli._json_document(document({}), key, pairs) == expected
 
     def test_forced_genus_document_matches_the_indenting_encoder(self, capsys):
         code, out, _ = run_cli(
-            capsys, "forced-genus", "--degree", "6", "--bound", "30000", "--format", "json"
+            capsys, "forced-genus", "--degree", "2", "--bound", "50000", "--format", "json"
         )
-        payload = {"command": "forced-genus", **obstruction.forced_genus(6, 30000).to_json_dict()}
+        report = obstruction.forced_genus(2, 50000)
+        payload = {"command": "forced-genus", **report.to_json_dict()}
+        assert len(report.forced) > cli.PAIRS_PER_RUN
         assert code == 0
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_genus_file_document_matches_the_indenting_encoder(self, capsys, tmp_path):
+        exceptions = {str(p): "-1" for p in SMALL_PRIMES[:5000]}
+        path = tmp_path / "genus.json"
+        path.write_text(json.dumps({"default": "+1", "exceptions": exceptions}))
+        code, out, _ = run_cli(
+            capsys, "admissible", "--degree", "2", "--genus-file", str(path), "--primes", "5,7",
+            "--format", "json",
+        )
+        point = genus.RectorInvariant.from_json_dict({"default": "+1", "exceptions": exceptions})
+        payload = {
+            "command": "admissible",
+            "degree": 2,
+            "genus": point.to_json_dict(),
+            "verdict": obstruction.admissible(point, 2, [5, 7]).to_json_dict(),
+        }
+        assert len(point.exceptions) > cli.PAIRS_PER_RUN
+        assert code == 2
         assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -903,7 +924,7 @@ class TestSignText:
         assert verdict["actual"] is genus.SIGN_TEXT[-1]
 
     #: tracemalloc bytes per forced prime at a bound of 30000, where this tree peaks at about
-    #: 136 as a table and 354 as JSON: a sign string built per prime adds about 51 to the JSON
+    #: 136 as a table and 370 as JSON: a sign string built per prime adds about 51 to the JSON
     #: document, and the table peaked at 221 while it read that document and joined one
     #: string per forced prime
     @pytest.mark.parametrize("fmt, budget", [("table", 150), ("json", 390)])
@@ -935,7 +956,7 @@ class TestOutOfMemory:
         [
             (["forced-genus", "--degree", "3", "--bound", "100"], obstruction, "forced_genus"),
             (["forced-genus", "--degree", "3", "--bound", "100", "--format", "json"], cli,
-             "_json_text"),
+             "_json_document"),
             (["admissible", "--degree", "4", "--genus", "default=+1", "--bound", "100"],
              obstruction, "_admissible"),
             (["verify-lemma", "--prime", "5", "--degree", "2", "--epsilon", "-1"], obstruction,

@@ -5,6 +5,7 @@ cheap check keeps their edits from going stale as the source changes.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +54,11 @@ def test_every_edit_finds_its_text_exactly_once(label, mutant, must_die):
 )
 def test_the_first_failure_is_read_to_the_end_of_its_id(summary, expected):
     assert mutants.first_failure(f"..F\n{summary}\n") == expected
+
+
+def test_a_timeout_names_the_test_it_stopped(tmp_path, monkeypatch):
+    monkeypatch.setattr(mutants, "TIMEOUT", 1)
+    child = "import time; print('tests/test_x.py::test_y[1] ', flush=True); time.sleep(60)"
+    outcome, seconds, first = mutants.run_tier1(tmp_path, [sys.executable, "-c", child])
+    assert (outcome, first) == ("timeout", "tests/test_x.py::test_y[1]")
+    assert seconds < 30

@@ -2,8 +2,8 @@
 
 One integer rule: ``isinstance(..., bool)`` appears only in ``check_int`` and ``is_prime``.
 One argument boundary: ``isinstance`` appears only in the argument rules, ``is_prime``, the
-operator overloads, ``RectorInvariant``'s choice between a mapping and pairs, the genus
-entry converter's test for a digit string and the CLI's JSON writer.
+operator overloads, ``RectorInvariant``'s choice between a mapping and pairs and the genus
+entry converter's test for a digit string.
 One prime rule: ``is_prime`` is called only by ``genus.check_prime``, by ``check_frobenius``
 and by the factorizer.
 One symbol rule: the Euler power ``_symbol`` is called only by the scan helper ``_symbols``,
@@ -35,9 +35,8 @@ BOOL_CHECKS = {("series.py", "check_int"), ("primes.py", "is_prime")}
 
 #: where any ``isinstance`` may appear: the argument rules; the primality predicate; the
 #: operator overloads, which return NotImplemented for a foreign operand; the one place
-#: that tells a {prime: sign} mapping from (prime, sign) pairs; the genus entry
-#: converter, which runs its digit test on strings only; and the CLI's JSON writer, which
-#: hands a container of scalars to the C encoder whole and walks only nested containers
+#: that tells a {prime: sign} mapping from (prime, sign) pairs; and the genus entry
+#: converter, which runs its digit test on strings only
 TYPE_TESTS = {
     ("series.py", "check_int"),
     ("series.py", "check_type"),
@@ -49,7 +48,6 @@ TYPE_TESTS = {
     ("series.py", "TruncatedSeries.__eq__"),
     ("genus.py", "RectorInvariant.__post_init__"),
     ("genus.py", "_entry"),
-    ("cli.py", "_json_text"),
 }
 
 #: where ``is_prime(`` may be called: the prime rule; ``check_frobenius``, which cannot import

@@ -6,9 +6,9 @@ baseline, then every mutant.
 Each run copies the tree to a temporary directory, makes one edit there and runs
 the tier-1 command with ``-v -x`` under a wall timeout of ``TIMEOUT`` seconds and
 an address-space cap of ``MEMORY`` bytes: a mutant of the rho loop can spin
-forever, and a mutant of a product or a reduction can make ``_powers`` run
-past the zero power with ever larger coefficients; a timeout counts as a kill,
-and so does the ``MemoryError`` the cap raises.  The checkout itself is never
+forever, and a mutant of a product or a reduction can grow coefficients past
+any memory; a timeout counts as a kill and names the test it stopped, and so
+does the ``MemoryError`` the cap raises.  The checkout itself is never
 edited.  The unmutated copy runs first, so that a suite that already fails
 cannot kill every mutant.  A mutated copy skips ``tests/test_mutants.py``'s
 check that every edit's text is in place, which the edit itself breaks.
@@ -200,8 +200,8 @@ MUTANTS = [
     ),
     Mutant(
         "cli.py",
-        '" ".join(f"{p}:{SIGN_TEXT[s]}" for p, s in forced[i : i + run])',
-        '",".join(f"{p}:{SIGN_TEXT[s]}" for p, s in forced[i : i + run])',
+        '" ".join(f"{p}:{SIGN_TEXT[s]}" for p, s in report.forced[i : i + PAIRS_PER_RUN])',
+        '",".join(f"{p}:{SIGN_TEXT[s]}" for p, s in report.forced[i : i + PAIRS_PER_RUN])',
         "forced-genus's table joins the forced signs with commas",
     ),
     Mutant(
@@ -225,9 +225,9 @@ MUTANTS = [
     ),
     Mutant(
         "cli.py",
-        'separators=("," + inner, ": ")',
+        'separators=(sep, ": ")',
         'separators=(",", ": ")',
-        "the JSON writer's separator loses its newline and indent",
+        "the JSON writer's item separator within a run loses its newline and indent",
     ),
     Mutant(
         "series.py",
@@ -278,6 +278,18 @@ MUTANTS = [
         "if _symbol(k, p) == -1)",
         "if _symbol(k, p) == 1)",
         "example_xp's witness search takes the first residue, not the first non-residue",
+    ),
+    Mutant(
+        "cli.py",
+        "key=lambda pair: str(pair[0])",
+        "key=lambda pair: pair[0]",
+        "the JSON writer sorts the primes as numbers, not as the strings sort_keys sorts",
+    ),
+    Mutant(
+        "cli.py",
+        "body = sep.join(",
+        'body = ",".join(',
+        "the join between the JSON writer's runs loses its newline and indent",
     ),
 ]
 
@@ -375,7 +387,10 @@ def run_tier1(tree: Path, argv: list[str]) -> tuple[str, float, str]:
     try:
         out, _ = proc.communicate(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
-        return "timeout", time.perf_counter() - start, ""
+        # the output captured so far names the test the timeout stopped
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, _ = proc.communicate()
+        return "timeout", time.perf_counter() - start, first_failure(out)
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
