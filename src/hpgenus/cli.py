@@ -222,7 +222,7 @@ def _cmd_admissible(args) -> int:
     payload = {
         "command": "admissible",
         "degree": args.degree,
-        "genus": RectorInvariant(genus.default).to_json_dict(),
+        "genus": replace(genus, exceptions=()).to_json_dict(),
         "verdict": verdict.to_json_dict(),
     }
     rendered = payload["verdict"]
@@ -276,7 +276,7 @@ def _cmd_example_xp(args) -> int:
     payload = {
         "command": "example-xp",
         "prime": args.prime,
-        "genus": RectorInvariant(point.default).to_json_dict(),
+        "genus": point.to_json_dict(),
         "witness_degree": witness,
         "witness_symbol": SIGN_TEXT[obstruction._symbol(witness, args.prime)],
         "single_prime_verdict": verdict.to_json_dict(),
@@ -288,7 +288,7 @@ def _cmd_example_xp(args) -> int:
         ("witness symbol", payload["witness_symbol"]),
         (f"admissible at {{{args.prime}}}", verdict.outcome),
     ]
-    _emit(payload, rows, args.format, point.exceptions)
+    _emit(payload, rows, args.format)
     return EXIT_OK
 
 
@@ -401,8 +401,8 @@ def main(argv=None) -> int:
         print(f"hpgenus: error: {_bounded(str(exc))}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:
-        message = f"hpgenus: error: {args.command} ran out of memory: try a smaller --bound"
-        print(message, file=sys.stderr)
+        hint = ": try a smaller --bound" if getattr(args, "bound", None) is not None else ""
+        print(f"hpgenus: error: {args.command} ran out of memory{hint}", file=sys.stderr)
         return EXIT_USAGE
 
 

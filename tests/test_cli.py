@@ -949,26 +949,40 @@ def out_of_memory(*args, **kwargs):
 
 
 class TestOutOfMemory:
-    """A MemoryError in any command exits 1 with one line on stderr, not a traceback."""
+    """A MemoryError in any command exits 1 with one line on stderr, not a traceback.
+
+    The line suggests a smaller --bound only to a call that gave one."""
 
     @pytest.mark.parametrize(
-        "argv, owner, name",
+        "argv, owner, name, hint",
         [
-            (["forced-genus", "--degree", "3", "--bound", "100"], obstruction, "forced_genus"),
+            (["forced-genus", "--degree", "3", "--bound", "100"], obstruction, "forced_genus",
+             True),
             (["forced-genus", "--degree", "3", "--bound", "100", "--format", "json"], cli,
-             "_json_document"),
+             "_json_document", True),
             (["admissible", "--degree", "4", "--genus", "default=+1", "--bound", "100"],
-             obstruction, "_admissible"),
+             obstruction, "_admissible", True),
+            (["admissible", "--degree", "4", "--genus", "default=+1", "--primes", "3,5"],
+             obstruction, "admissible", False),
             (["verify-lemma", "--prime", "5", "--degree", "2", "--epsilon", "-1"], obstruction,
-             "compatible_bruteforce"),
-            (["example-xp", "--prime", "7"], obstruction, "example_xp"),
-            (["selftest", "--max-prime", "3"], selftest, "run_all"),
+             "compatible_bruteforce", False),
+            (["example-xp", "--prime", "7"], obstruction, "example_xp", False),
+            (["selftest", "--max-prime", "3"], selftest, "run_all", False),
         ],
-        ids=["forced-genus", "json-writer", "admissible", "verify-lemma", "example-xp", "selftest"],
+        ids=[
+            "forced-genus",
+            "json-writer",
+            "admissible",
+            "admissible-primes",
+            "verify-lemma",
+            "example-xp",
+            "selftest",
+        ],
     )
-    def test_exits_one_with_one_line(self, capsys, monkeypatch, argv, owner, name):
+    def test_exits_one_with_one_line(self, capsys, monkeypatch, argv, owner, name, hint):
         monkeypatch.setattr(owner, name, out_of_memory)
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert err == f"hpgenus: error: {argv[0]} ran out of memory: try a smaller --bound\n"
+        tail = ": try a smaller --bound" if hint else ""
+        assert err == f"hpgenus: error: {argv[0]} ran out of memory{tail}\n"

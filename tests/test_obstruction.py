@@ -458,6 +458,16 @@ class TestExampleXp:
         point, witness = example_xp(p)
         assert admissible(point, witness, [p]).is_admissible
 
+    @pytest.mark.parametrize("p", odd_primes_upto(31))
+    def test_least_degree_passing_the_primes_up_to_100_is_p_squared(self, p):
+        # a check at finitely many primes, not a realized map: p^2 is a residue at every
+        # other prime and p divides it, and no degree in -p^2 .. p^2 - 1 passes at all 24
+        point, _ = example_xp(p)
+        primes = odd_primes_upto(100)
+        degrees = [k for k in range(-p * p, p * p + 1) if k]
+        passes = [k for k in degrees if admissible(point, k, primes).is_admissible]
+        assert passes[0] == p * p
+
     def test_rejects_two_and_composites(self):
         with pytest.raises(ValueError):
             example_xp(2)

@@ -17,8 +17,8 @@ check that every edit's text is in place, which the edit itself breaks.
 edits that change no answer the program gives, each with a one-line proof: they
 document what the tests cannot see, and they must survive.  One markdown table
 row is printed per mutant, and the exit code is 1 if a mutant of ``MUTANTS``
-survives, one of ``EQUIVALENT`` is killed, or the baseline fails.  Only the
-standard library is used.
+survives, one of ``EQUIVALENT`` is killed, or the baseline fails; the last line
+gives the count and the gate's total wall time.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -291,6 +291,24 @@ MUTANTS = [
         'body = ",".join(',
         "the join between the JSON writer's runs loses its newline and indent",
     ),
+    Mutant(
+        "cli.py",
+        '"genus": point.to_json_dict(),',
+        '"genus": RectorInvariant(point.default).to_json_dict(),',
+        "example-xp's JSON rebuilds its genus point from the default: the exception is lost",
+    ),
+    Mutant(
+        "cli.py",
+        "replace(genus, exceptions=())",
+        "replace(genus)",
+        "admissible's JSON keeps the exceptions in the payload: the splice finds no {}",
+    ),
+    Mutant(
+        "cli.py",
+        'hint = ": try a smaller --bound" if getattr(args, "bound", None) is not None else ""',
+        'hint = ": try a smaller --bound"',
+        "the out-of-memory line suggests a smaller --bound to calls that gave none",
+    ),
 ]
 
 #: equivalent mutants: each changes no answer, for the reason given, so tier-1 passes
@@ -429,6 +447,7 @@ def run_one(mutant: Mutant | None) -> tuple[str, float, str]:
 
 
 def main() -> int:
+    began = time.perf_counter()
     chosen = labelled()
     stale = [
         label
@@ -457,7 +476,8 @@ def main() -> int:
             f"| {seconds:.0f} | {first} |",
             flush=True,
         )
-    print(f"{len(chosen)} mutants, {unexpected} not as expected")
+    minutes, seconds = divmod(round(time.perf_counter() - began), 60)
+    print(f"{len(chosen)} mutants, {unexpected} not as expected, in {minutes} min {seconds} s")
     return 1 if unexpected else 0
 
 
