@@ -59,7 +59,8 @@ MAX_PRIME_CEILING = 101
 MAX_DEGREE_CEILING = 200
 #: the largest ``--bound`` admissible and forced-genus accept: at it, forced-genus takes
 #: about 3.1 s and 134 MB with --format json (2.6 s and 109 MB as a table), and admissible at
-#: a square degree, whose scan runs to the bound, about 0.5 s and 55 MB
+#: a square degree against a +1 point, which past the sieve reads only the exceptions, about
+#: 0.25 s and 55 MB
 BOUND_CEILING = 10**7
 #: the most characters ``--genus-file`` may hold, checked before it is parsed: a point with -1
 #: at the 250149 odd primes below 3.5*10^6 (4.16 million characters) takes about 6 s and 115 MB

@@ -14,6 +14,7 @@ never "a map exists": the test is a necessary condition only.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -54,10 +55,15 @@ def _symbol(k: int, p: int) -> Sign:
     return 1 if pow(k, (p - 1) // 2, p) == 1 else -1
 
 
+def _is_square(k: int) -> bool:
+    # k = m^2 with m >= 1: (k/p) = +1 at every odd prime p not dividing k
+    return k > 0 and math.isqrt(k) ** 2 == k
+
+
 def _symbols(k: int, primes: Iterable[int]) -> Iterator[tuple[int, Sign]]:
     # (p, (k/p)) at each p in primes not dividing k; a square k = m^2 is m^2 mod p with p not
     # dividing m, so it reads +1 at every such p with no Euler power
-    if k > 0 and math.isqrt(k) ** 2 == k:
+    if _is_square(k):
         return ((p, 1) for p in primes if k % p)
     return ((p, _symbol(k, p)) for p in primes if k % p)
 
@@ -149,20 +155,34 @@ def admissible(genus: RectorInvariant, k: int, primes: Iterable[int]) -> Verdict
     """
     check_type("genus", genus, RectorInvariant)
     tested = sorted({check_int("p", p) for p in check_iterable("primes", primes)})
+    # the point's constructor has tested its exception keys; 2 still fails the odd-prime check
+    keys = {p for p, _ in genus.exceptions}
     for p in tested:
-        check_prime("p", p, 3)
+        if p < 3 or p not in keys:
+            check_prime("p", p, 3)
     return _admissible(genus, k, tested)
 
 
 def _admissible(genus: RectorInvariant, k: int, tested: list[int]) -> Verdict:
     # admissible for ascending distinct odd primes (such as odd_primes_upto's), which are
-    # trusted: the degree and the prime set are checked, no prime is tested for primality
+    # trusted: the degree and the prime set are checked, no prime is tested for primality.
+    # A square degree against a +1 point reads only the point's exceptions: past the
+    # skipped pass, its cost grows with the exceptions and not with the prime set
     check_degree(k)
     if not tested:
         raise ValueError("no primes to test: the prime set is empty")
     skipped = tuple(p for p in tested if k % p == 0)
     if len(skipped) == len(tested):
         raise ValueError(f"no primes to test: every given prime divides the degree {k}")
+    if genus.default == 1 and _is_square(k):
+        # (m^2/p) = +1 at every tested p not dividing k, so only an exception, all of which
+        # are -1 here, can obstruct: the first that is tested and coprime to k, found by
+        # binary search of tested and not by a scan of every prime
+        for p, _ in genus.exceptions:
+            i = bisect.bisect_left(tested, p)
+            if i < len(tested) and tested[i] == p and k % p:
+                return Verdict("Obstructed", prime=p, required=1, actual=-1, skipped=skipped)
+        return Verdict("Admissible", skipped=skipped)
     signs = dict(genus.exceptions)
     for p, required in _symbols(k, tested):
         actual = signs.get(p, genus.default)

@@ -481,6 +481,24 @@ class TestAdmissible:
         assert table_to_dict(out)["prime"] == "997"
         assert tested == [997]
 
+    def test_primes_test_a_genus_key_once(self, capsys, monkeypatch):
+        # 13 and 23 are tested as genus keys, not again as --primes
+        tested = count_prime_tests(monkeypatch)
+        code, _, _ = run_cli(
+            capsys, "admissible", "--degree", "5", "--genus", "13:-1,23:-1;default=+1",
+            "--primes", "3,13,23,29",
+        )
+        assert code == 2
+        assert tested == [13, 23, 3, 29]
+
+    def test_an_even_genus_key_in_primes_still_exits_one(self, capsys):
+        code, out, err = run_cli(
+            capsys, "admissible", "--degree", "1", "--genus", "2:-1;default=+1",
+            "--primes", "2,3",
+        )
+        assert (code, out) == (1, "")
+        assert "p must be a prime >= 3, got 2" in err
+
     def test_json_verdict_shape(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -311,12 +311,17 @@ class TestSquareRule:
         def no_power(k, p):
             raise AssertionError(f"Euler power taken for ({k}/{p})")
 
+        def no_scan(k, primes):
+            raise AssertionError(f"the primes are scanned for the square {k} at a +1 point")
+
         monkeypatch.setattr(hpgenus.obstruction, "_symbol", no_power)
         k, primes = m * m, odd_primes_upto(10**4)
         coprime = [p for p in primes if m % p]
+        assert forced_genus(k, 10**4).forced == tuple((p, 1) for p in coprime)
+        # against a +1 point a square degree reads the exceptions alone, no prime's symbol
+        monkeypatch.setattr(hpgenus.obstruction, "_symbols", no_scan)
         verdict = _admissible(RectorInvariant(1), k, primes)
         assert verdict == Verdict("Admissible", skipped=tuple(p for p in primes if m % p == 0))
-        assert forced_genus(k, 10**4).forced == tuple((p, 1) for p in coprime)
         last = coprime[-1]
         assert _admissible(RectorInvariant(1, {last: -1}), k, primes) == Verdict(
             "Obstructed", prime=last, required=1, actual=-1, skipped=verdict.skipped
@@ -326,8 +331,11 @@ class TestSquareRule:
         # every k with 1 <= |k| <= 2000 (so every m^2, -m^2 and 2m^2 in that range) against
         # the squares mod each odd prime up to 1000, listed once per prime where
         # legendre_by_enumeration lists them once per symbol; points with default +1 and -1,
-        # bare and with exceptions that a square degree's scan reaches
+        # bare and with exceptions that a square degree reads: at 2, at primes that divide
+        # some m ahead of one that obstructs, above the bound; over every odd prime up to 1000
+        # and over a --primes-style set that leaves out two exceptions
         primes = odd_primes_upto(1000)
+        prime_sets = [primes, [p for p in primes if p not in (3, 499)]]
         squares = {p: squares_mod(p) for p in primes}
         symbol = {(r, p): 1 if r in squares[p] else -1 for p in primes for r in range(1, p)}
         points = [
@@ -335,21 +343,26 @@ class TestSquareRule:
             RectorInvariant(-1),
             RectorInvariant(1, {499: -1, 997: -1}),
             RectorInvariant(-1, {3: 1, 5: 1, 7: 1, 11: 1, 13: 1}),
+            RectorInvariant(1, {2: -1}),
+            RectorInvariant(-1, {2: 1, 3: 1}),
+            RectorInvariant(1, {2: -1, 3: -1, 5: -1, 7: -1, 11: -1}),
+            RectorInvariant(1, {3: -1, 1009: -1}),
         ]
         for magnitude in range(1, 2001):
             for k in (magnitude, -magnitude):
                 required = [(p, symbol[k % p, p]) for p in primes if k % p]
-                skipped = tuple(p for p in primes if k % p == 0)
                 assert forced_genus(k, 1000).forced == tuple(required)
-                for point in points:
-                    expected = Verdict("Admissible", skipped=skipped)
-                    for p, sign in required:
-                        if point.lookup(p) != sign:
-                            expected = Verdict(
-                                "Obstructed", p, sign, point.lookup(p), skipped=skipped
-                            )
-                            break
-                    assert _admissible(point, k, primes) == expected, (k, point)
+                for tested in prime_sets:
+                    skipped = tuple(p for p in tested if k % p == 0)
+                    for point in points:
+                        expected = Verdict("Admissible", skipped=skipped)
+                        for p, sign in required:
+                            if p in tested and point.lookup(p) != sign:
+                                expected = Verdict(
+                                    "Obstructed", p, sign, point.lookup(p), skipped=skipped
+                                )
+                                break
+                        assert _admissible(point, k, tested) == expected, (k, point, len(tested))
 
 
 class TestForcedGenus:

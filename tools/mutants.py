@@ -1,7 +1,7 @@
 """A mutation gate for the exact core: each mutant is one textual edit that tier-1 must catch.
 
 Usage, from the root of a checkout: ``python3 tools/mutants.py`` runs the
-baseline, then every mutant.
+baseline alone, then the mutants ``WORKERS`` at a time; the rows print in label order.
 
 Each run copies the tree to a temporary directory, makes one edit there and runs
 the tier-1 command with ``-v -x`` under a wall timeout of ``TIMEOUT`` seconds and
@@ -23,9 +23,9 @@ gives the count and the gate's total wall time.  Only the standard library is us
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import re
-import resource
 import shutil
 import signal
 import subprocess
@@ -43,6 +43,8 @@ TIER1 = [sys.executable, "-m", "pytest", "-v", "-x"]
 TIMEOUT = 300
 #: bytes of address space per tier-1 run; the unmutated suite fits well inside it
 MEMORY = 1 << 30
+#: mutants run at a time, each in its own copy of the tree; the baseline runs alone first
+WORKERS = 2
 #: the check that every edit's text is in place, which any mutant fails by construction
 GUARD = "--deselect=tests/test_mutants.py::test_every_edit_finds_its_text_exactly_once"
 #: what the copy leaves out: history, caches and the recorded benchmark runs
@@ -101,6 +103,30 @@ MUTANTS = [
         "return ((p, 1) for p in primes if k % p)",
         "return ((p, 1) for p in primes)",
         "a square degree's scan keeps the primes dividing it",
+    ),
+    Mutant(
+        "obstruction.py",
+        "if i < len(tested) and tested[i] == p and k % p:",
+        "if i < len(tested) and tested[i] == p:",
+        "a square degree against a +1 point is obstructed at an exception dividing it",
+    ),
+    Mutant(
+        "obstruction.py",
+        "if i < len(tested) and tested[i] == p and k % p:",
+        "if k % p:",
+        "a square degree against a +1 point is obstructed at an exception that is not tested",
+    ),
+    Mutant(
+        "obstruction.py",
+        "if genus.default == 1 and _is_square(k):",
+        "if _is_square(k):",
+        "a square degree against a -1 point reads only its +1 exceptions too",
+    ),
+    Mutant(
+        "obstruction.py",
+        "if p < 3 or p not in keys:",
+        "if p not in keys:",
+        "admissible takes a genus key of 2 in --primes as an odd prime",
     ),
     Mutant(
         "obstruction.py",
@@ -263,9 +289,21 @@ MUTANTS = [
     ),
     Mutant(
         "primes.py",
-        "for p in range(3, math.isqrt(bound) + 1, 2):",
-        "for p in range(3, math.isqrt(bound), 2):",
-        "the sieve stops one short of isqrt(bound): 9 reads as prime",
+        "for p in range(5, math.isqrt(bound) + 1, 2):",
+        "for p in range(5, math.isqrt(bound), 2):",
+        "the sieve stops one short of isqrt(bound): 25 reads as prime",
+    ),
+    Mutant(
+        "primes.py",
+        "primes.sort()\n    return primes",
+        "return primes",
+        "the sieve's 6j - 1 and 6j + 1 runs are returned one after the other, not merged",
+    ),
+    Mutant(
+        "primes.py",
+        "itertools.compress(range(7, bound + 1, 6), sieve[7::6])",
+        "itertools.compress(range(1, bound + 1, 6), sieve[1::6])",
+        "the sieve's 6j + 1 run starts at 1, which it lists as a prime",
     ),
     Mutant(
         "series.py",
@@ -327,9 +365,9 @@ EQUIVALENT = [
     ),
     Mutant(
         "obstruction.py",
-        "if k > 0 and math.isqrt(k) ** 2 == k:",
-        "if k >= 0 and math.isqrt(k) ** 2 == k:",
-        "every caller of _symbols has checked the degree, so k is never 0",
+        "return k > 0 and math.isqrt(k) ** 2 == k",
+        "return k >= 0 and math.isqrt(k) ** 2 == k",
+        "every caller of _is_square has checked the degree, so k is never 0",
     ),
     Mutant(
         "series.py",
@@ -381,9 +419,18 @@ def source(root: Path, mutant: Mutant) -> Path:
     return root / PACKAGE / mutant.file
 
 
-def cap_memory() -> None:
-    """Run in the child before it starts: cap its address space at ``MEMORY`` bytes."""
-    resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
+def capped(argv: list[str]) -> list[str]:
+    """argv run under an address-space cap of ``MEMORY`` bytes, which the child sets itself.
+
+    A small interpreter sets the cap and execs argv, which inherits it: no ``preexec_fn``
+    runs between fork and exec, which is unsafe while the gate's threads are running.
+    """
+    launch = (
+        "import os, resource, sys; "
+        f"resource.setrlimit(resource.RLIMIT_AS, ({MEMORY}, {MEMORY})); "
+        "os.execv(sys.argv[1], sys.argv[1:])"
+    )
+    return [sys.executable, "-c", launch, *argv]
 
 
 def run_tier1(tree: Path, argv: list[str]) -> tuple[str, float, str]:
@@ -393,14 +440,13 @@ def run_tier1(tree: Path, argv: list[str]) -> tuple[str, float, str]:
     start = time.perf_counter()
     # a session of its own, so that a timeout kills the test processes it started too
     proc = subprocess.Popen(
-        argv,
+        capped(argv),
         cwd=tree,
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
         start_new_session=True,
-        preexec_fn=cap_memory,
     )
     try:
         out, _ = proc.communicate(timeout=TIMEOUT)
@@ -465,17 +511,18 @@ def main() -> int:
     print("| mutant | file | edit | expected | result | s | first failing test |")
     print("|---|---|---|---|---|---|---|")
     unexpected = 0
-    for label, mutant, must_die in chosen:
-        outcome, seconds, first = run_one(mutant)
-        killed = outcome != "passed"
-        unexpected += killed != must_die
-        expected = "killed" if must_die else "survives"
-        result = f"killed ({outcome})" if killed else "survived"
-        print(
-            f"| {label} | {mutant.file} | {mutant.why} | {expected} | {result} "
-            f"| {seconds:.0f} | {first} |",
-            flush=True,
-        )
+    with concurrent.futures.ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        runs = pool.map(run_one, [mutant for _, mutant, _ in chosen])
+        for (label, mutant, must_die), (outcome, seconds, first) in zip(chosen, runs):
+            killed = outcome != "passed"
+            unexpected += killed != must_die
+            expected = "killed" if must_die else "survives"
+            result = f"killed ({outcome})" if killed else "survived"
+            print(
+                f"| {label} | {mutant.file} | {mutant.why} | {expected} | {result} "
+                f"| {seconds:.0f} | {first} |",
+                flush=True,
+            )
     minutes, seconds = divmod(round(time.perf_counter() - began), 60)
     print(f"{len(chosen)} mutants, {unexpected} not as expected, in {minutes} min {seconds} s")
     return 1 if unexpected else 0
