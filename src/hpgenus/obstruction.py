@@ -166,34 +166,28 @@ def admissible(genus: RectorInvariant, k: int, primes: Iterable[int]) -> Verdict
 def _admissible(genus: RectorInvariant, k: int, tested: list[int]) -> Verdict:
     # admissible for ascending distinct odd primes (such as odd_primes_upto's), which are
     # trusted: the degree and the prime set are checked, no prime is tested for primality.
-    # A square degree against a +1 point reads only the point's exceptions: past the
-    # skipped pass, its cost grows with the exceptions and not with the prime set
+    # One loop compares (k/p) with the point's sign at each prime it reads. A square degree
+    # against a +1 point has it read only the point's exceptions: past the skipped pass, its
+    # cost grows with the exceptions and not with the prime set
     check_degree(k)
     if not tested:
         raise ValueError("no primes to test: the prime set is empty")
     skipped = tuple(p for p in tested if k % p == 0)
     if len(skipped) == len(tested):
         raise ValueError(f"no primes to test: every given prime divides the degree {k}")
+    primes: Iterable[int] = tested
     if genus.default == 1 and _is_square(k):
-        # (m^2/p) = +1 at every tested p not dividing k, so only an exception, all of which
-        # are -1 here, can obstruct: the first that is tested and coprime to k, found by
-        # binary search of tested and not by a scan of every prime
-        for p, _ in genus.exceptions:
-            i = bisect.bisect_left(tested, p)
-            if i < len(tested) and tested[i] == p and k % p:
-                return Verdict("Obstructed", prime=p, required=1, actual=-1, skipped=skipped)
-        return Verdict("Admissible", skipped=skipped)
+        # _symbols reads (m^2/p) = +1, so only an exception can obstruct: read the tested ones,
+        # lazily, each found by a binary search whose probe is capped at tested's last index
+        last = len(tested) - 1
+        primes = (
+            p for p, _ in genus.exceptions if tested[bisect.bisect_left(tested, p, 0, last)] == p
+        )
     signs = dict(genus.exceptions)
-    for p, required in _symbols(k, tested):
+    for p, required in _symbols(k, primes):
         actual = signs.get(p, genus.default)
         if actual != required:
-            return Verdict(
-                "Obstructed",
-                prime=p,
-                required=required,
-                actual=actual,
-                skipped=skipped,
-            )
+            return Verdict("Obstructed", prime=p, required=required, actual=actual, skipped=skipped)
     return Verdict("Admissible", skipped=skipped)
 
 

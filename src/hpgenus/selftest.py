@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .adams import check_composition, check_frobenius, psi_apply, psi_generator
 from .genus import SIGN_TEXT
@@ -170,6 +170,11 @@ def legendre_oracle_suite() -> SuiteResult:
     return rec
 
 
+def _degrees(p: Optional[int] = None, max_degree: int = MAX_DEGREE) -> Iterator[int]:
+    # the sweep's degrees 1, -1, 2, -2, ... up to max_degree in size, less the multiples of p
+    return (k for m in range(1, max_degree + 1) for k in (m, -m) if p is None or k % p)
+
+
 def lemma_equivalence_suite(
     max_prime: int = MAX_PRIME, max_degree: int = MAX_DEGREE, trials: int = TRIALS, seed: int = 0
 ) -> SuiteResult:
@@ -177,20 +182,17 @@ def lemma_equivalence_suite(
     check_int("max_degree", max_degree, 1)
     rec = SuiteResult("lemma-equivalence")
     for p in odd_primes_upto(max_prime):
-        for magnitude in range(1, max_degree + 1):
-            for k in (magnitude, -magnitude):
-                if k % p == 0:
-                    continue
-                for epsilon in (1, -1):
-                    closed = compatible(p, epsilon, k)
-                    brute = compatible_bruteforce(p, epsilon, k, trials=trials, seed=seed)
-                    rec.check(
-                        closed == brute,
-                        lambda: (
-                            f"criterion={closed} but bruteforce={brute} at p={p}, k={k}, "
-                            f"epsilon={SIGN_TEXT[epsilon]}"
-                        ),
-                    )
+        for k in _degrees(p, max_degree):
+            for epsilon in (1, -1):
+                closed = compatible(p, epsilon, k)
+                brute = compatible_bruteforce(p, epsilon, k, trials=trials, seed=seed)
+                rec.check(
+                    closed == brute,
+                    lambda: (
+                        f"criterion={closed} but bruteforce={brute} at p={p}, k={k}, "
+                        f"epsilon={SIGN_TEXT[epsilon]}"
+                    ),
+                )
     return rec
 
 

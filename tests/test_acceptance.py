@@ -17,7 +17,7 @@ from hpgenus.genus import (
 )
 from hpgenus.obstruction import TRIALS, admissible, compatible, example_xp, forced_genus, legendre
 from hpgenus.primes import odd_primes_upto
-from hpgenus.selftest import MAX_DEGREE, MAX_PRIME
+from hpgenus.selftest import MAX_PRIME, _degrees
 
 from oracles import trial_division_odd_prime_factors
 
@@ -35,13 +35,6 @@ def _report_suites(number, description, started, *results):
     """Report selftest suites as one criterion, one violation line per failing suite."""
     failures = [(r.name, r.failures, r.first_counterexample) for r in results if not r.ok]
     _report(number, description, failures, started)
-
-
-def _degrees(p=None):
-    for magnitude in range(1, MAX_DEGREE + 1):
-        for k in (magnitude, -magnitude):
-            if p is None or k % p != 0:
-                yield k
 
 
 def test_criterion_1_rhs_coefficient_law():

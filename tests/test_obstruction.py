@@ -311,21 +311,43 @@ class TestSquareRule:
         def no_power(k, p):
             raise AssertionError(f"Euler power taken for ({k}/{p})")
 
-        def no_scan(k, primes):
-            raise AssertionError(f"the primes are scanned for the square {k} at a +1 point")
+        symbols, handed = hpgenus.obstruction._symbols, []
+
+        def recording(k, primes):
+            primes = list(primes)
+            handed.append(primes)
+            return symbols(k, primes)
 
         monkeypatch.setattr(hpgenus.obstruction, "_symbol", no_power)
         k, primes = m * m, odd_primes_upto(10**4)
         coprime = [p for p in primes if m % p]
         assert forced_genus(k, 10**4).forced == tuple((p, 1) for p in coprime)
-        # against a +1 point a square degree reads the exceptions alone, no prime's symbol
-        monkeypatch.setattr(hpgenus.obstruction, "_symbols", no_scan)
+        # against a +1 point a square degree reads the point's exceptions alone, no other prime
+        monkeypatch.setattr(hpgenus.obstruction, "_symbols", recording)
         verdict = _admissible(RectorInvariant(1), k, primes)
         assert verdict == Verdict("Admissible", skipped=tuple(p for p in primes if m % p == 0))
         last = coprime[-1]
         assert _admissible(RectorInvariant(1, {last: -1}), k, primes) == Verdict(
             "Obstructed", prime=last, required=1, actual=-1, skipped=verdict.skipped
         )
+        assert handed == [[], [last]]
+
+    def test_a_square_degree_reads_the_exceptions_one_at_a_time(self, monkeypatch):
+        # a +1 point with 10^4 -1 exceptions, the first of them tested and coprime to k: one
+        # binary search finds it, where a list of the tested exceptions would take 10^4
+        primes = odd_primes_upto(2 * 10**5)
+        point = RectorInvariant(1, {p: -1 for p in primes[1 : 10**4 + 1]})
+        bisect_left, searches = hpgenus.obstruction.bisect.bisect_left, []
+
+        def counting(*args, **kwargs):
+            searches.append(args[1])
+            return bisect_left(*args, **kwargs)
+
+        monkeypatch.setattr(hpgenus.obstruction.bisect, "bisect_left", counting)
+        assert _admissible(point, 9, primes) == Verdict(
+            "Obstructed", prime=5, required=1, actual=-1, skipped=(3,)
+        )
+        assert searches == [5]
 
     def test_both_scans_match_enumeration_for_every_small_degree(self):
         # every k with 1 <= |k| <= 2000 (so every m^2, -m^2 and 2m^2 in that range) against

@@ -106,14 +106,15 @@ MUTANTS = [
     ),
     Mutant(
         "obstruction.py",
-        "if i < len(tested) and tested[i] == p and k % p:",
-        "if i < len(tested) and tested[i] == p:",
-        "a square degree against a +1 point is obstructed at an exception dividing it",
+        "tested[bisect.bisect_left(tested, p, 0, last)] == p",
+        "tested[bisect.bisect_left(tested, p)] == p",
+        "the square short cut's probe is not capped: an exception above every tested prime "
+        "reads past the end",
     ),
     Mutant(
         "obstruction.py",
-        "if i < len(tested) and tested[i] == p and k % p:",
-        "if k % p:",
+        "p for p, _ in genus.exceptions if tested[bisect.bisect_left(tested, p, 0, last)] == p",
+        "p for p, _ in genus.exceptions",
         "a square degree against a +1 point is obstructed at an exception that is not tested",
     ),
     Mutant(
