@@ -42,7 +42,7 @@ from .genus import (
     pullback_then_psi,
     sign_from_str,
 )
-from .primes import odd_primes_upto
+from .primes import odd_primes_upto  # noqa: F401  unused, but bench/spans.py traces it here
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,9 +58,9 @@ LEMMA_PRIME_CEILING = 10**5
 MAX_PRIME_CEILING = 101
 MAX_DEGREE_CEILING = 200
 #: the largest ``--bound`` admissible and forced-genus accept: at it, forced-genus takes
-#: about 3.1 s and 134 MB with --format json (2.6 s and 109 MB as a table), and admissible at
-#: a square degree against a +1 point, which past the sieve reads only the exceptions, about
-#: 0.25 s and 55 MB
+#: about 3.1 s and 134 MB with --format json (2.6 s and 109 MB as a table), and admissible
+#: about 0.25 s and 55 MB, most of it the sieve, except at a square degree m^2 against a +1
+#: point, which sieves only to 4*isqrt(m) + 4: 0.07 to 0.09 s and 16 MB at m = 2
 BOUND_CEILING = 10**7
 #: the most characters ``--genus-file`` may hold, checked before it is parsed: a point with -1
 #: at the 250149 odd primes below 3.5*10^6 (4.16 million characters) takes about 6 s and 115 MB
@@ -219,7 +219,7 @@ def _cmd_admissible(args) -> int:
         verdict = obstruction.admissible(genus, args.degree, args.primes)
     else:
         _check_ceiling("--bound", args.bound, BOUND_CEILING)
-        verdict = obstruction._admissible(genus, args.degree, odd_primes_upto(args.bound))
+        verdict = obstruction._admissible_upto(genus, args.degree, args.bound)
     payload = {
         "command": "admissible",
         "degree": args.degree,

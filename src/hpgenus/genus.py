@@ -145,7 +145,10 @@ class RectorInvariant:
 
     def lookup(self, p: int) -> Sign:
         """The sign invariant at the prime p, by a binary search of the sorted exceptions."""
-        i = bisect.bisect_left(self.exceptions, (check_prime("p", p),))
+        return self._sign(check_prime("p", p))
+
+    def _sign(self, p: int) -> Sign:
+        i = bisect.bisect_left(self.exceptions, (p,))
         if i < len(self.exceptions) and self.exceptions[i][0] == p:
             return self.exceptions[i][1]
         return self.default

@@ -164,29 +164,46 @@ def admissible(genus: RectorInvariant, k: int, primes: Iterable[int]) -> Verdict
 
 
 def _admissible(genus: RectorInvariant, k: int, tested: list[int]) -> Verdict:
-    # admissible for ascending distinct odd primes (such as odd_primes_upto's), which are
-    # trusted: the degree and the prime set are checked, no prime is tested for primality.
-    # One loop compares (k/p) with the point's sign at each prime it reads. A square degree
-    # against a +1 point has it read only the point's exceptions: past the skipped pass, its
-    # cost grows with the exceptions and not with the prime set
+    # admissible over trusted ascending distinct odd primes: none is tested for primality
+    skipped = _skipped(k, tested, k)
+    if genus.default != 1 or not _is_square(k):
+        return _verdict(genus, k, tested, skipped)
+    # (m^2/p) = +1, so read only the tested exceptions, lazily: each found by a binary search
+    # whose probe is capped at tested's last index
+    last = len(tested) - 1
+    read = (p for p, _ in genus.exceptions if tested[bisect.bisect_left(tested, p, 0, last)] == p)
+    return _verdict(genus, k, read, skipped)
+
+
+def _admissible_upto(genus: RectorInvariant, k: int, bound: int) -> Verdict:
+    # _admissible over odd_primes_upto(bound). At k = m^2 against a +1 point, past r = isqrt(m)
+    # m has one prime factor at most, and (Bertrand) (r+1, 4r+4] two primes: sieve to 4r + 4
+    if genus.default != 1 or bound < 3 or not _is_square(k):
+        return _admissible(genus, k, odd_primes_upto(bound))
+    m = math.isqrt(k)
+    skipped = _skipped(k, odd_primes_upto(min(bound, 4 * math.isqrt(m) + 4)), m)
+    rest, small = m, 2 * math.prod(skipped)
+    while (common := math.gcd(rest, small)) > 1:
+        rest //= common
+    skipped += (rest,) if 1 < rest <= bound else ()
+    return _verdict(genus, k, (p for p, _ in genus.exceptions if 2 < p <= bound), skipped)
+
+
+def _skipped(k: int, tested: list[int], m: int) -> tuple[int, ...]:
+    # the primes of tested dividing m, which has k's primes; a set with none left is refused
     check_degree(k)
     if not tested:
         raise ValueError("no primes to test: the prime set is empty")
-    skipped = tuple(p for p in tested if k % p == 0)
+    skipped = tuple(p for p in tested if m % p == 0)
     if len(skipped) == len(tested):
         raise ValueError(f"no primes to test: every given prime divides the degree {k}")
-    primes: Iterable[int] = tested
-    if genus.default == 1 and _is_square(k):
-        # _symbols reads (m^2/p) = +1, so only an exception can obstruct: read the tested ones,
-        # lazily, each found by a binary search whose probe is capped at tested's last index
-        last = len(tested) - 1
-        primes = (
-            p for p, _ in genus.exceptions if tested[bisect.bisect_left(tested, p, 0, last)] == p
-        )
-    signs = dict(genus.exceptions)
+    return skipped
+
+
+def _verdict(genus: RectorInvariant, k: int, primes: Iterable[int], skipped) -> Verdict:
+    # the one verdict loop: the first prime _symbols keeps where the point's sign is not (k/p)
     for p, required in _symbols(k, primes):
-        actual = signs.get(p, genus.default)
-        if actual != required:
+        if (actual := genus._sign(p)) != required:
             return Verdict("Obstructed", prime=p, required=required, actual=actual, skipped=skipped)
     return Verdict("Admissible", skipped=skipped)
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -177,7 +178,7 @@ class TestTrialsCeiling:
 class TestBoundCeiling:
     """--bound has one ceiling on admissible and forced-genus, checked before the sieve."""
 
-    ADMISSIBLE = ("admissible", "--degree", "1", "--genus", "default=+1")
+    ADMISSIBLE = ("admissible", "--degree", "2", "--genus", "default=+1")
     FORCED_GENUS = ("forced-genus", "--degree", "6")
 
     def test_admissible_at_the_ceiling(self, capsys, monkeypatch):
@@ -187,10 +188,29 @@ class TestBoundCeiling:
             seen.append(bound)
             return [3, 5, 7]
 
-        monkeypatch.setattr(cli, "odd_primes_upto", small_sieve)
-        code, _, _ = run_cli(capsys, *self.ADMISSIBLE, "--bound", str(cli.BOUND_CEILING))
-        assert code == 0
+        monkeypatch.setattr(obstruction, "odd_primes_upto", small_sieve)
+        code, out, _ = run_cli(capsys, *self.ADMISSIBLE, "--bound", str(cli.BOUND_CEILING))
+        assert code == 2
+        assert table_to_dict(out)["prime"] == "3"
         assert seen == [cli.BOUND_CEILING]
+
+    @pytest.mark.parametrize("m", [1, 2, 15, 1000, 2026])
+    def test_a_square_degree_at_the_ceiling_sieves_to_four_root_m_plus_four(
+        self, capsys, monkeypatch, m
+    ):
+        sieve, seen = obstruction.odd_primes_upto, []
+
+        def recording(bound):
+            seen.append(bound)
+            return sieve(bound)
+
+        monkeypatch.setattr(obstruction, "odd_primes_upto", recording)
+        code, _, _ = run_cli(
+            capsys, "admissible", "--degree", str(m * m), "--genus", "default=+1",
+            "--bound", str(cli.BOUND_CEILING),
+        )
+        assert code == 0
+        assert seen == [4 * math.isqrt(m) + 4]
 
     def test_forced_genus_at_the_ceiling(self, capsys, monkeypatch):
         seen = []
@@ -480,6 +500,18 @@ class TestAdmissible:
         assert code == 2
         assert table_to_dict(out)["prime"] == "997"
         assert tested == [997]
+
+    def test_a_square_degree_at_the_ceiling_tests_only_the_spec_primes(self, capsys, monkeypatch):
+        # m = 2 * 1013: the cofactor 1013 is skipped and 10000019, above the bound, not read;
+        # each is tested once, as a genus key, and the verdict tests no prime
+        tested = count_prime_tests(monkeypatch)
+        code, out, _ = run_cli(
+            capsys, "admissible", "--degree", str(2026**2),
+            "--genus", "1013:-1,10000019:-1;default=+1", "--bound", str(cli.BOUND_CEILING),
+        )
+        assert code == 0
+        assert table_to_dict(out)["skipped"] == "1013"
+        assert tested == [1013, 10000019]
 
     def test_primes_test_a_genus_key_once(self, capsys, monkeypatch):
         # 13 and 23 are tested as genus keys, not again as --primes
@@ -979,7 +1011,7 @@ class TestOutOfMemory:
             (["forced-genus", "--degree", "3", "--bound", "100", "--format", "json"], cli,
              "_json_document", True),
             (["admissible", "--degree", "4", "--genus", "default=+1", "--bound", "100"],
-             obstruction, "_admissible", True),
+             obstruction, "_admissible_upto", True),
             (["admissible", "--degree", "4", "--genus", "default=+1", "--primes", "3,5"],
              obstruction, "admissible", False),
             (["verify-lemma", "--prime", "5", "--degree", "2", "--epsilon", "-1"], obstruction,

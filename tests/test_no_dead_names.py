@@ -23,11 +23,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "hpgenus").glob("*.py"))
 
-#: names obstruction imports without using them, because bench/spans.py patches them there
+#: names obstruction and cli import without using them: bench/spans.py patches them there
 SPANS_PATCHED = {
     ("obstruction.py", name)
     for name in ("psi_then_pullback", "pullback_then_psi", "random_degree_map", "is_prime")
-}
+} | {("cli.py", "odd_primes_upto")}
 
 #: where ``isinstance(..., bool)`` may appear: the one integer rule, and the primality
 #: predicate, which answers False for a bool rather than raising
@@ -96,8 +96,11 @@ CROSS_MODULE_PRIVATE = {
     ("obstruction.py", "_trusted"): "example_xp's point, at the prime it has just checked",
     ("obstruction.py", "_trials_agree"): "the brute force's verdict, after one check per call: "
     "its seeded maps drawn and both routes compared on each",
-    ("cli.py", "_admissible"): "checked once: the --bound scan over the sieve's primes and "
-    "example-xp's point at its checked prime",
+    ("obstruction.py", "_sign"): "a point's sign at a prime the verdict has checked or sieved: "
+    "lookup without its prime test",
+    ("cli.py", "_admissible"): "checked once: example-xp's point at its checked prime",
+    ("cli.py", "_admissible_upto"): "checked once: the --bound verdict over the sieve's primes, "
+    "which at a square degree against a +1 point sieves only to 4*isqrt(m) + 4",
     ("cli.py", "_symbol"): "checked once: example-xp's symbol at its checked prime",
 }
 

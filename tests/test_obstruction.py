@@ -20,6 +20,7 @@ from hpgenus.genus import (
 from hpgenus.obstruction import (
     Verdict,
     _admissible,
+    _admissible_upto,
     admissible,
     compatible,
     compatible_bruteforce,
@@ -334,7 +335,8 @@ class TestSquareRule:
 
     def test_a_square_degree_reads_the_exceptions_one_at_a_time(self, monkeypatch):
         # a +1 point with 10^4 -1 exceptions, the first of them tested and coprime to k: one
-        # binary search finds it, where a list of the tested exceptions would take 10^4
+        # binary search of the primes finds it and one of the exceptions reads its sign, where
+        # a list of the tested exceptions, or a dict of them all, would take 10^4 steps
         primes = odd_primes_upto(2 * 10**5)
         point = RectorInvariant(1, {p: -1 for p in primes[1 : 10**4 + 1]})
         bisect_left, searches = hpgenus.obstruction.bisect.bisect_left, []
@@ -347,7 +349,7 @@ class TestSquareRule:
         assert _admissible(point, 9, primes) == Verdict(
             "Obstructed", prime=5, required=1, actual=-1, skipped=(3,)
         )
-        assert searches == [5]
+        assert searches == [5, (5,)]
 
     def test_both_scans_match_enumeration_for_every_small_degree(self):
         # every k with 1 <= |k| <= 2000 (so every m^2, -m^2 and 2m^2 in that range) against
@@ -385,6 +387,61 @@ class TestSquareRule:
                                 )
                                 break
                         assert _admissible(point, k, tested) == expected, (k, point, len(tested))
+
+
+def _verdict_or_error(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestAdmissibleUpto:
+    """The --bound verdict is _admissible over the whole sieve, verdicts and errors alike.
+
+    A square degree m^2 against a +1 point sieves only to 4*isqrt(m) + 4 and finds a prime
+    factor of m above that as the cofactor; every other input sieves to the bound.  The roots
+    cover every m up to 600 and cofactors at, below and above the bounds 997, 1009 and 1013;
+    the points have defaults +1 and -1, an exception at 2, exceptions above every bound and
+    exceptions that divide some m."""
+
+    BOUNDS = [*range(-3, 16), 997, 1009, 1013, 3000]
+    ROOTS = [*range(1, 601), 2 * 997, 3 * 1009, 1009 * 1013, 9 * 1013**2]
+    POINTS = [
+        (1, {}),
+        (-1, {}),
+        (1, {2: -1}),
+        (1, {2: -1, 3001: -1}),
+        (1, {3: -1, 5: -1, 7: -1, 997: -1, 1009: -1, 1013: -1}),
+        (-1, {2: 1, 3: 1, 5: 1}),
+    ]
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_equals_the_verdict_over_the_whole_sieve(self, bound):
+        primes = odd_primes_upto(bound)
+        points = [RectorInvariant(default, exceptions) for default, exceptions in self.POINTS]
+        for m in self.ROOTS:
+            for k in (m * m, -m * m):
+                for point in points:
+                    assert _verdict_or_error(_admissible_upto, point, k, bound) == (
+                        _verdict_or_error(_admissible, point, k, primes)
+                    ), (point, k, bound)
+
+    @pytest.mark.parametrize(
+        "m, bound, skipped",
+        [
+            (15, 6, None),
+            (15, 7, (3, 5)),
+            (2 * 1013, 1012, ()),
+            (2 * 1013, 1013, (1013,)),
+            (1009 * 1013, 1013, (1009, 1013)),
+            (9 * 1013**2, 3000, (3, 1013)),
+        ],
+    )
+    def test_skips_the_cofactor_up_to_the_bound(self, m, bound, skipped):
+        verdict = _verdict_or_error(_admissible_upto, RectorInvariant(1), m * m, bound)
+        vacuous = f"ValueError: no primes to test: every given prime divides the degree {m * m}"
+        assert verdict == (vacuous if skipped is None else Verdict("Admissible", skipped=skipped))
 
 
 class TestForcedGenus:

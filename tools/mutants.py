@@ -119,8 +119,8 @@ MUTANTS = [
     ),
     Mutant(
         "obstruction.py",
-        "if genus.default == 1 and _is_square(k):",
-        "if _is_square(k):",
+        "if genus.default != 1 or not _is_square(k):",
+        "if not _is_square(k):",
         "a square degree against a -1 point reads only its +1 exceptions too",
     ),
     Mutant(
@@ -130,14 +130,14 @@ MUTANTS = [
         "admissible takes a genus key of 2 in --primes as an odd prime",
     ),
     Mutant(
-        "obstruction.py",
-        "actual = signs.get(p, genus.default)",
-        "actual = signs.get(p, 1)",
-        "_admissible reads +1, not the point's default, away from its exceptions",
+        "genus.py",
+        "        return self.default\n",
+        "        return 1\n",
+        "a point's sign away from its exceptions reads +1, not its default, in every verdict",
     ),
     Mutant(
         "obstruction.py",
-        "skipped = tuple(p for p in tested if k % p == 0)",
+        "skipped = tuple(p for p in tested if m % p == 0)",
         "skipped = ()",
         "_admissible skips no prime dividing the degree and never refuses a vacuous set",
     ),
@@ -348,6 +348,31 @@ MUTANTS = [
         'hint = ": try a smaller --bound"',
         "the out-of-memory line suggests a smaller --bound to calls that gave none",
     ),
+    Mutant(
+        "obstruction.py",
+        "4 * math.isqrt(m) + 4",
+        "math.isqrt(m)",
+        "the square --bound sieve stops at isqrt(m): m = 15 at bound 7 reads as vacuous",
+    ),
+    Mutant(
+        "obstruction.py",
+        "    skipped += (rest,) if 1 < rest <= bound else ()\n",
+        "",
+        "the square --bound verdict drops m's cofactor: a prime above 4*isqrt(m) + 4 dividing m "
+        "is not skipped",
+    ),
+    Mutant(
+        "obstruction.py",
+        "2 < p <= bound",
+        "1 < p <= bound",
+        "the square --bound verdict reads an exception at 2, which is no odd prime",
+    ),
+    Mutant(
+        "obstruction.py",
+        "2 < p <= bound",
+        "2 < p < bound",
+        "the square --bound verdict leaves out an exception at the bound itself",
+    ),
 ]
 
 #: equivalent mutants: each changes no answer, for the reason given, so tier-1 passes
@@ -368,7 +393,8 @@ EQUIVALENT = [
         "obstruction.py",
         "return k > 0 and math.isqrt(k) ** 2 == k",
         "return k >= 0 and math.isqrt(k) ** 2 == k",
-        "every caller of _is_square has checked the degree, so k is never 0",
+        "k = 0 meets check_degree either way: _admissible_upto's square path reaches it in "
+        "_skipped, and every other caller of _is_square has checked the degree",
     ),
     Mutant(
         "series.py",
