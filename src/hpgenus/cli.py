@@ -51,16 +51,18 @@ EXIT_INCONSISTENT = 3
 
 #: the most brute-force trials ``--trials`` accepts, on verify-lemma and selftest
 TRIALS_CEILING = 100_000
-#: the largest verify-lemma ``--prime``: 200 trials at the prime below it take about 9 to 12 s
+#: the largest verify-lemma ``--prime``: 200 trials at the prime below it take 6.5 to 7.5 s and
+#: 41 MB (2-vCPU Xeon host, Python 3.11)
 LEMMA_PRIME_CEILING = 10**5
 #: the largest selftest ``--max-prime`` and ``--max-degree``: with the other flags at
 #: their defaults, a sweep at either ceiling takes under 30 s
 MAX_PRIME_CEILING = 101
 MAX_DEGREE_CEILING = 200
-#: the largest ``--bound`` admissible and forced-genus accept: at it, forced-genus takes
-#: about 3.1 s and 134 MB with --format json (2.6 s and 109 MB as a table), and admissible
-#: about 0.25 s and 55 MB, most of it the sieve, except at a square degree m^2 against a +1
-#: point, which sieves only to 4*isqrt(m) + 4: 0.07 to 0.09 s and 16 MB at m = 2
+#: the largest ``--bound`` admissible and forced-genus accept: at it (2-vCPU Xeon host, Python
+#: 3.11), forced-genus takes 1.7 to 2.3 s and 134 MB with --format json (1.4 to 1.7 s and
+#: 109 MB as a table), and admissible about 0.25 s and 55 MB, most of it the sieve, except at
+#: a square degree m^2 against a +1 point, which sieves only to 4*isqrt(m) + 4: 0.07 to
+#: 0.09 s and 16 MB at m = 2
 BOUND_CEILING = 10**7
 #: the most characters ``--genus-file`` may hold, checked before it is parsed: a point with -1
 #: at the 250149 odd primes below 3.5*10^6 (4.16 million characters) takes about 6 s and 115 MB

@@ -14,7 +14,6 @@ never "a map exists": the test is a necessary condition only.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -165,19 +164,13 @@ def admissible(genus: RectorInvariant, k: int, primes: Iterable[int]) -> Verdict
 
 def _admissible(genus: RectorInvariant, k: int, tested: list[int]) -> Verdict:
     # admissible over trusted ascending distinct odd primes: none is tested for primality
-    skipped = _skipped(k, tested, k)
-    if genus.default != 1 or not _is_square(k):
-        return _verdict(genus, k, tested, skipped)
-    # (m^2/p) = +1, so read only the tested exceptions, lazily: each found by a binary search
-    # whose probe is capped at tested's last index
-    last = len(tested) - 1
-    read = (p for p, _ in genus.exceptions if tested[bisect.bisect_left(tested, p, 0, last)] == p)
-    return _verdict(genus, k, read, skipped)
+    return _verdict(genus, k, tested, _skipped(k, tested, k))
 
 
 def _admissible_upto(genus: RectorInvariant, k: int, bound: int) -> Verdict:
-    # _admissible over odd_primes_upto(bound). At k = m^2 against a +1 point, past r = isqrt(m)
-    # m has one prime factor at most, and (Bertrand) (r+1, 4r+4] two primes: sieve to 4r + 4
+    # _admissible over odd_primes_upto(bound). At k = m^2 against a +1 point (m^2/p) = +1, so
+    # only the exceptions are read; past r = isqrt(m) m has one prime factor at most, and
+    # (Bertrand) (r+1, 4r+4] two primes: sieve to 4r + 4
     if genus.default != 1 or bound < 3 or not _is_square(k):
         return _admissible(genus, k, odd_primes_upto(bound))
     m = math.isqrt(k)

@@ -304,8 +304,9 @@ class TestAdmissible:
 
 
 class TestSquareRule:
-    """Both bound scans read +1 at a square degree m^2 with no Euler power, and agree with
-    listing the squares mod p at every degree up to 2000 in size."""
+    """A square degree m^2 reads +1 with no Euler power, in forced_genus and in every verdict;
+    only the --bound verdict against a +1 point reads the point's exceptions alone.  Both
+    scans agree with listing the squares mod p at every degree up to 2000 in size."""
 
     @pytest.mark.parametrize("m", [1, 2, 15, 97, 210, 1001])
     def test_a_square_degree_never_takes_a_power(self, monkeypatch, m):
@@ -323,33 +324,36 @@ class TestSquareRule:
         k, primes = m * m, odd_primes_upto(10**4)
         coprime = [p for p in primes if m % p]
         assert forced_genus(k, 10**4).forced == tuple((p, 1) for p in coprime)
-        # against a +1 point a square degree reads the point's exceptions alone, no other prime
-        monkeypatch.setattr(hpgenus.obstruction, "_symbols", recording)
         verdict = _admissible(RectorInvariant(1), k, primes)
         assert verdict == Verdict("Admissible", skipped=tuple(p for p in primes if m % p == 0))
         last = coprime[-1]
-        assert _admissible(RectorInvariant(1, {last: -1}), k, primes) == Verdict(
+        obstructed = _admissible(RectorInvariant(1, {last: -1}), k, primes)
+        assert obstructed == Verdict(
             "Obstructed", prime=last, required=1, actual=-1, skipped=verdict.skipped
         )
+        # against a +1 point the --bound verdict reads the point's exceptions alone, no other prime
+        monkeypatch.setattr(hpgenus.obstruction, "_symbols", recording)
+        assert _admissible_upto(RectorInvariant(1), k, 10**4) == verdict
+        assert _admissible_upto(RectorInvariant(1, {last: -1}), k, 10**4) == obstructed
         assert handed == [[], [last]]
 
     def test_a_square_degree_reads_the_exceptions_one_at_a_time(self, monkeypatch):
-        # a +1 point with 10^4 -1 exceptions, the first of them tested and coprime to k: one
-        # binary search of the primes finds it and one of the exceptions reads its sign, where
-        # a list of the tested exceptions, or a dict of them all, would take 10^4 steps
+        # a +1 point with 10^4 -1 exceptions, the first of them coprime to k: the --bound verdict
+        # stops at it, and one binary search of the exceptions reads its sign, where reading
+        # the sign of every exception first would take 10^4 searches
         primes = odd_primes_upto(2 * 10**5)
         point = RectorInvariant(1, {p: -1 for p in primes[1 : 10**4 + 1]})
-        bisect_left, searches = hpgenus.obstruction.bisect.bisect_left, []
+        bisect_left, searches = hpgenus.genus.bisect.bisect_left, []
 
         def counting(*args, **kwargs):
             searches.append(args[1])
             return bisect_left(*args, **kwargs)
 
-        monkeypatch.setattr(hpgenus.obstruction.bisect, "bisect_left", counting)
-        assert _admissible(point, 9, primes) == Verdict(
+        monkeypatch.setattr(hpgenus.genus.bisect, "bisect_left", counting)
+        assert _admissible_upto(point, 9, 2 * 10**5) == Verdict(
             "Obstructed", prime=5, required=1, actual=-1, skipped=(3,)
         )
-        assert searches == [5, (5,)]
+        assert searches == [(5,)]
 
     def test_both_scans_match_enumeration_for_every_small_degree(self):
         # every k with 1 <= |k| <= 2000 (so every m^2, -m^2 and 2m^2 in that range) against

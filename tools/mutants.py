@@ -106,22 +106,9 @@ MUTANTS = [
     ),
     Mutant(
         "obstruction.py",
-        "tested[bisect.bisect_left(tested, p, 0, last)] == p",
-        "tested[bisect.bisect_left(tested, p)] == p",
-        "the square short cut's probe is not capped: an exception above every tested prime "
-        "reads past the end",
-    ),
-    Mutant(
-        "obstruction.py",
-        "p for p, _ in genus.exceptions if tested[bisect.bisect_left(tested, p, 0, last)] == p",
-        "p for p, _ in genus.exceptions",
-        "a square degree against a +1 point is obstructed at an exception that is not tested",
-    ),
-    Mutant(
-        "obstruction.py",
-        "if genus.default != 1 or not _is_square(k):",
-        "if not _is_square(k):",
-        "a square degree against a -1 point reads only its +1 exceptions too",
+        "if genus.default != 1 or bound < 3 or not _is_square(k):",
+        "if bound < 3 or not _is_square(k):",
+        "a square --bound verdict against a -1 point reads only its +1 exceptions too",
     ),
     Mutant(
         "obstruction.py",
