@@ -273,9 +273,9 @@ def _cmd_forced_genus(args) -> int:
 
 
 def _cmd_example_xp(args) -> int:
-    # example_xp checks the prime; the verdict and the symbol take it as checked
+    # example_xp tests the prime once; admissible reads it as the point's key, _symbol as checked
     point, witness = obstruction.example_xp(args.prime)
-    verdict = obstruction._admissible(point, witness, [args.prime])
+    verdict = obstruction.admissible(point, witness, [args.prime])
     payload = {
         "command": "example-xp",
         "prime": args.prime,

@@ -225,14 +225,14 @@ class DegreeMapModel:
     def as_series(self, order: int) -> TruncatedSeries:
         """degree * t^2 plus the higher terms, truncated to the given order."""
         coeffs = ((0, 0, self.degree) + self.higher)[: check_int("order", order, 1)]
-        return TruncatedSeries._trusted(order, coeffs + (0,) * (order - len(coeffs)), None)
+        return TruncatedSeries._trusted(coeffs + (0,) * (order - len(coeffs)), None)
 
 
 def _pullback(p: int, degree: int, higher: Iterable[int]) -> TruncatedSeries:
     """S mod p^2 at order p + 2: degree * t^2, then at most p - 1 residues mod p^2 from t^3."""
     m = p * p
     coeffs = (0, 0, degree % m, *higher)
-    return TruncatedSeries._trusted(p + 2, coeffs + (0,) * (p + 2 - len(coeffs)), m)
+    return TruncatedSeries._trusted(coeffs + (0,) * (p + 2 - len(coeffs)), m)
 
 
 def _model_pullback(p: int, f: DegreeMapModel) -> TruncatedSeries:

@@ -164,7 +164,7 @@ def admissible(genus: RectorInvariant, k: int, primes: Iterable[int]) -> Verdict
 
 def _admissible(genus: RectorInvariant, k: int, tested: list[int]) -> Verdict:
     # admissible over trusted ascending distinct odd primes: none is tested for primality
-    return _verdict(genus, k, tested, _skipped(k, tested, k))
+    return _verdict(genus, k, tested, _skipped(k, tested))
 
 
 def _admissible_upto(genus: RectorInvariant, k: int, bound: int) -> Verdict:
@@ -174,7 +174,7 @@ def _admissible_upto(genus: RectorInvariant, k: int, bound: int) -> Verdict:
     if genus.default != 1 or bound < 3 or not _is_square(k):
         return _admissible(genus, k, odd_primes_upto(bound))
     m = math.isqrt(k)
-    skipped = _skipped(k, odd_primes_upto(min(bound, 4 * math.isqrt(m) + 4)), m)
+    skipped = _skipped(k, odd_primes_upto(min(bound, 4 * math.isqrt(m) + 4)))
     rest, small = m, 2 * math.prod(skipped)
     while (common := math.gcd(rest, small)) > 1:
         rest //= common
@@ -182,12 +182,12 @@ def _admissible_upto(genus: RectorInvariant, k: int, bound: int) -> Verdict:
     return _verdict(genus, k, (p for p, _ in genus.exceptions if 2 < p <= bound), skipped)
 
 
-def _skipped(k: int, tested: list[int], m: int) -> tuple[int, ...]:
-    # the primes of tested dividing m, which has k's primes; a set with none left is refused
+def _skipped(k: int, tested: list[int]) -> tuple[int, ...]:
+    # the primes of tested dividing k; a set with none left is refused
     check_degree(k)
     if not tested:
         raise ValueError("no primes to test: the prime set is empty")
-    skipped = tuple(p for p in tested if m % p == 0)
+    skipped = tuple(p for p in tested if k % p == 0)
     if len(skipped) == len(tested):
         raise ValueError(f"no primes to test: every given prime divides the degree {k}")
     return skipped

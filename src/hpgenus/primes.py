@@ -72,7 +72,7 @@ def odd_primes_upto(bound: int) -> list[int]:
     # int for an odd multiple of 3, and merged by one sort
     sieve = bytearray((1,)) * (bound + 1)
     for p in range(5, math.isqrt(bound) + 1, 2):
-        if sieve[p]:
+        if p % 3 and sieve[p]:
             sieve[p * p :: 2 * p] = bytes(len(range(p * p, bound + 1, 2 * p)))
     primes = [3]
     primes += itertools.compress(range(5, bound + 1, 6), sieve[5::6])

@@ -85,8 +85,8 @@ def _slots(x: int, size: int, n: int) -> Sequence[int]:
     return words
 
 
-def _mul(a: Sequence[int], b: Sequence[int], n: int, modulus: Optional[int] = None) -> list[int]:
-    """The product of two length-n coefficient sequences, truncated at t^n.
+def _mul(a: Sequence[int], b: Sequence[int], modulus: Optional[int] = None) -> list[int]:
+    """The product of two coefficient sequences of one length n, truncated at t^n.
 
     With a modulus, a and b hold residues in [0, modulus) and so does the
     result.  Without one they are arbitrary ints: each value is stored with
@@ -99,6 +99,7 @@ def _mul(a: Sequence[int], b: Sequence[int], n: int, modulus: Optional[int] = No
     Either way it is one path: pack both factors, multiply once, read back
     the low n slots.  Passing the same sequence twice squares one int.
     """
+    n = len(a)
     if modulus is None:
         # a product coefficient is a sum of at most n terms of size at most
         # top, and no input exceeds top either: all of them fit in half a slot
@@ -147,11 +148,11 @@ def check_series(what: str, value) -> "TruncatedSeries":
     return value
 
 
-def _require_ring(order: int, modulus: Optional[int], other: "TruncatedSeries") -> None:
-    if order != other.order:
-        raise ValueError(f"order mismatch: {order} vs {other.order}")
-    if modulus != other.modulus:
-        raise ValueError(f"modulus mismatch: {modulus} vs {other.modulus}")
+def _require_ring(a: "TruncatedSeries", b: "TruncatedSeries") -> None:
+    if a.order != b.order:
+        raise ValueError(f"order mismatch: {a.order} vs {b.order}")
+    if a.modulus != b.modulus:
+        raise ValueError(f"modulus mismatch: {a.modulus} vs {b.modulus}")
 
 
 class TruncatedSeries:
@@ -185,14 +186,12 @@ class TruncatedSeries:
         self.modulus: Optional[int] = None
 
     @classmethod
-    def _trusted(
-        cls, order: int, coeffs: Iterable[int], modulus: Optional[int]
-    ) -> "TruncatedSeries":
-        # Results of the ring operations: exactly ``order`` ints, canonical
+    def _trusted(cls, coeffs: Iterable[int], modulus: Optional[int]) -> "TruncatedSeries":
+        # Results of the ring operations, as many ints as the order: canonical
         # residues when there is a modulus, so nothing is validated again.
         series = object.__new__(cls)
-        series.order = order
         series.coeffs = tuple(coeffs)
+        series.order = len(series.coeffs)
         series.modulus = modulus
         return series
 
@@ -225,7 +224,7 @@ class TruncatedSeries:
             c = self.coeffs[0] + other
             coeffs = (c if m is None else c % m,) + self.coeffs[1:]
         elif isinstance(other, TruncatedSeries):
-            _require_ring(n, m, other)
+            _require_ring(self, other)
             # a zero summand leaves the other one, which is immutable and in this ring
             if self.is_zero:
                 return other
@@ -234,7 +233,7 @@ class TruncatedSeries:
             return TruncatedSeries._combination(n, m, (1, 1), (self, other))
         else:
             return NotImplemented
-        return TruncatedSeries._trusted(n, coeffs, m)
+        return TruncatedSeries._trusted(coeffs, m)
 
     __radd__ = __add__
 
@@ -256,13 +255,11 @@ class TruncatedSeries:
             v = next(compress(count(), self.coeffs), n)
             row = self.coeffs[v:]
             scaled = [other * c for c in row] if m is None else [other * c % m for c in row]
-            return TruncatedSeries._trusted(n, (0,) * v + tuple(scaled), m)
+            return TruncatedSeries._trusted((0,) * v + tuple(scaled), m)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        _require_ring(self.order, self.modulus, other)
-        return TruncatedSeries._trusted(
-            self.order, _mul(self.coeffs, other.coeffs, self.order, self.modulus), self.modulus
-        )
+        _require_ring(self, other)
+        return TruncatedSeries._trusted(_mul(self.coeffs, other.coeffs, self.modulus), self.modulus)
 
     __rmul__ = __mul__
 
@@ -270,26 +267,26 @@ class TruncatedSeries:
         check_int("exponent", exponent, 0)
         n, m = self.order, self.modulus
         if exponent == 0:
-            return TruncatedSeries._trusted(n, (1 if m is None else 1 % m,) + (0,) * (n - 1), m)
+            return TruncatedSeries._trusted((1 if m is None else 1 % m,) + (0,) * (n - 1), m)
         # self = t^v * u, so self^e = t^(v e) * u^e, and u^e is only needed
         # below t^(n - v e): one pow of u_0 at order 1, else binary powering
         v = next(compress(count(), self.coeffs), n)
         low = v * exponent
         if low >= n:
-            return TruncatedSeries._trusted(n, (0,) * n, m)
+            return TruncatedSeries._trusted((0,) * n, m)
         k = n - low
         if k == 1:
             unit = pow(self.coeffs[v], exponent, m)  # u_0**e when m is None
-            return TruncatedSeries._trusted(n, (0,) * low + (unit,), m)
+            return TruncatedSeries._trusted((0,) * low + (unit,), m)
         result = None
         base = self.coeffs[v : v + k]
         while exponent:
             if exponent & 1:
-                result = base if result is None else _mul(result, base, k, m)
+                result = base if result is None else _mul(result, base, m)
             exponent >>= 1
             if exponent:
-                base = _mul(base, base, k, m)
-        return TruncatedSeries._trusted(n, (0,) * low + tuple(result), m)
+                base = _mul(base, base, m)
+        return TruncatedSeries._trusted((0,) * low + tuple(result), m)
 
     @classmethod
     def _combination(
@@ -318,7 +315,7 @@ class TruncatedSeries:
                 acc[v:] = [a + c * x for a, x in zip(acc[v:], row)]
             else:
                 acc[v:] = [(a + c * x) % m for a, x in zip(acc[v:], row)]
-        return cls._trusted(order, acc, m)
+        return cls._trusted(acc, m)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner): the sum of self's coefficients times the powers of inner.
@@ -326,7 +323,7 @@ class TruncatedSeries:
         The inner series must have zero constant term, otherwise the
         substitution is not well defined modulo t^N.
         """
-        _require_ring(self.order, self.modulus, check_series("inner", inner))
+        _require_ring(self, check_series("inner", inner))
         # the coefficients past the last non-zero power multiply zero
         powers = inner._powers()
         return (

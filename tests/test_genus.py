@@ -216,12 +216,11 @@ class TestPsiThenPullback:
         assert got.modulus == 9
         assert got == TruncatedSeries(5, [0, 0, 0, 0, 3])
 
-    @pytest.mark.parametrize("p", [3, 5, 7, 11, 31, 101])
-    @pytest.mark.parametrize("k", [1, 2, 3, -5, 12])
+    @pytest.mark.parametrize(
+        "k, p", [(k, p) for k in (1, 2, 3, -5, 12) for p in (3, 5, 7, 11, 31, 101) if k % p]
+    )
     @pytest.mark.parametrize("epsilon", [1, -1])
-    def test_reduced_form_is_the_sign_weighted_power(self, p, k, epsilon):
-        if k % p == 0:
-            pytest.skip("degree must be coprime to p")
+    def test_reduced_form_is_the_sign_weighted_power(self, k, p, epsilon):
         rng = random.Random(f"reduced:{p}:{k}:{epsilon}")
         f = random_degree_map(rng, k, p + 4)
         expected = [0] * (p + 2)

@@ -98,7 +98,6 @@ CROSS_MODULE_PRIVATE = {
     "its seeded maps drawn and both routes compared on each",
     ("obstruction.py", "_sign"): "a point's sign at a prime the verdict has checked or sieved: "
     "lookup without its prime test",
-    ("cli.py", "_admissible"): "checked once: example-xp's point at its checked prime",
     ("cli.py", "_admissible_upto"): "checked once: the --bound verdict over the sieve's primes, "
     "which at a square degree against a +1 point sieves only to 4*isqrt(m) + 4",
     ("cli.py", "_symbol"): "checked once: example-xp's symbol at its checked prime",

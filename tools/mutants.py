@@ -82,8 +82,8 @@ MUTANTS = [
     ),
     Mutant(
         "series.py",
-        "return TruncatedSeries._trusted(n, (0,) * low + (unit,), m)",
-        "return TruncatedSeries._trusted(n, (0,) * (low - 1) + (unit, 0), m)",
+        "return TruncatedSeries._trusted((0,) * low + (unit,), m)",
+        "return TruncatedSeries._trusted((0,) * (low - 1) + (unit, 0), m)",
         "the one-slot __pow__ writes u_0^e one place too low",
     ),
     Mutant(
@@ -124,7 +124,7 @@ MUTANTS = [
     ),
     Mutant(
         "obstruction.py",
-        "skipped = tuple(p for p in tested if m % p == 0)",
+        "skipped = tuple(p for p in tested if k % p == 0)",
         "skipped = ()",
         "_admissible skips no prime dividing the degree and never refuses a vacuous set",
     ),
@@ -360,6 +360,19 @@ MUTANTS = [
         "2 < p < bound",
         "the square --bound verdict leaves out an exception at the bound itself",
     ),
+    Mutant(
+        "series.py",
+        "    n = len(a)\n",
+        "    n = len(a) - 1\n",
+        "_mul reads one slot fewer than its factors hold: every product loses its top coefficient",
+    ),
+    Mutant(
+        "series.py",
+        '    if a.modulus != b.modulus:\n        raise ValueError(f"modulus mismatch: {a.modulus} vs '
+        '{b.modulus}")\n',
+        "",
+        "_require_ring compares orders only: an integer series and a residue series mix",
+    ),
 ]
 
 #: equivalent mutants: each changes no answer, for the reason given, so tier-1 passes
@@ -418,6 +431,13 @@ EQUIVALENT = [
         "sieve[p * p :: 2 * p] = bytes(len(range(p * p, bound + 1, 2 * p)))",
         "sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))",
         "striding by p adds zeros at even indices only, and the sieve reads none of them",
+    ),
+    Mutant(
+        "primes.py",
+        "if p % 3 and sieve[p]:",
+        "if sieve[p]:",
+        "3 is never struck, so 9, 15, ... stay set, and each strikes odd multiples of 3 only: "
+        "indices 6j + 3, which the 6j - 1 and 6j + 1 read-out never reads",
     ),
 ]
 
