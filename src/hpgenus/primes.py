@@ -1,10 +1,11 @@
 """Deterministic primality and factoring helpers.
 
-``is_prime`` is Miller-Rabin with the thirteen prime bases 2 ... 41, after
-trial division by those primes.  With those bases the test is exact for
-every n below ``PRIME_TEST_CEILING`` (Sorenson and Webster, "Strong
-pseudoprimes to twelve prime bases", Math. Comp. 86, 2017), so there is no
-probabilistic verdict anywhere; at or above the ceiling it raises
+``is_prime`` trial-divides by the thirteen prime bases 2 ... 41, then runs
+Miller-Rabin to the first t of them, for the least t with n below psi_t, the
+least strong pseudoprime to those t bases, so no verdict is probabilistic
+(psi_t for t <= 8: G. Jaeschke, Math. Comp. 61, 1993; t <= 11: Y. Jiang and
+Y. Deng, Math. Comp. 83, 2014; t = 12, 13: J. Sorenson and J. Webster, Math.
+Comp. 86, 2017).  At or above psi_13 = ``PRIME_TEST_CEILING`` it raises
 ``ValueError``.  Below 41^2 the trial division alone answers.
 
 ``distinct_odd_prime_factors`` trial-divides by the odd base primes, then
@@ -23,10 +24,16 @@ import math
 from .series import check_int
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_1 ... psi_13 (OEIS A014233): psi_t is the least composite passing the first t bases
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+    318665857834031151167461, 3317044064679887385961981,
+)
 
 #: The least composite that passes Miller-Rabin to all thirteen bases; the test
 #: refuses it and every larger n.
-PRIME_TEST_CEILING = 3317044064679887385961981
+PRIME_TEST_CEILING = _PSI[-1]
 
 # rho steps between two gcds
 _RHO_BATCH = 128
@@ -50,16 +57,17 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _BASES:
+    for a, psi in zip(_BASES, _PSI):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
     return True
 
 

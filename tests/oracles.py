@@ -118,6 +118,18 @@ def trial_division_is_prime(n: int) -> bool:
     return True
 
 
+def sprp(n: int, a: int) -> bool:
+    """Whether odd n > 2 is a strong probable prime to base a.
+
+    With n - 1 = 2^s d, d odd: a^d = 1 mod n, or a^(2^r d) = -1 mod n for some r < s,
+    each power taken afresh from a rather than by squaring the last.
+    """
+    s, d = 0, n - 1
+    while d % 2 == 0:
+        s, d = s + 1, d // 2
+    return pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+
+
 def trial_division_odd_prime_factors(n: int) -> list[int]:
     """The distinct odd primes dividing n, ascending, by trying every d with d * d <= |n|."""
     n = abs(n)

@@ -2,14 +2,30 @@ import random
 
 import pytest
 
+from hpgenus import primes
 from hpgenus.primes import (
+    _BASES,
+    _PSI,
     PRIME_TEST_CEILING,
     distinct_odd_prime_factors,
     is_prime,
     odd_primes_upto,
 )
 
-from oracles import trial_division_is_prime, trial_division_odd_prime_factors
+from oracles import sprp, trial_division_is_prime, trial_division_odd_prime_factors
+
+
+@pytest.fixture
+def modular_powers(monkeypatch):
+    """The arguments of every ``pow`` call ``is_prime`` makes, by a module global over the builtin."""
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(primes, "pow", counting_pow, raising=False)
+    return calls
 
 
 def test_agrees_with_trial_division_below_two_hundred_thousand():
@@ -39,7 +55,13 @@ def test_non_integers_and_bools_are_not_prime(value):
 @pytest.mark.parametrize(
     "n",
     [
+        2047,  # psi_1: strong pseudoprime to the base 2
+        1373653,  # psi_2: to the bases 2, 3
+        25326001,  # psi_3: to the bases 2, 3, 5
         3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+        2152302898747,  # psi_5: to every prime base up to 11
+        3474749660383,  # psi_6: to every prime base up to 13
+        341550071728321,  # psi_7 = psi_8: to every prime base up to 19
         3825123056546413051,  # strong pseudoprime to every prime base up to 31
         318665857834031151167461,  # strong pseudoprime to every prime base up to 37
         56052361,  # Carmichael number 211 * 421 * 631
@@ -48,6 +70,42 @@ def test_non_integers_and_bools_are_not_prime(value):
 )
 def test_rejects_strong_pseudoprimes(n):
     assert not is_prime(n)
+
+
+def test_psi_t_is_composite_and_passes_the_first_t_bases():
+    # a base a < psi at which psi is no strong probable prime proves psi composite
+    assert _PSI[-1] == PRIME_TEST_CEILING
+    assert list(_PSI) == sorted(_PSI)
+    for t, psi in enumerate(_PSI, 1):
+        assert all(sprp(psi, a) for a in _BASES[:t]), t
+        assert not all(sprp(psi, a) for a in range(2, 200)), t
+
+
+@pytest.mark.parametrize("t", range(2, 14))
+def test_agrees_with_all_thirteen_bases_in_each_band(t, modular_powers):
+    # psi_(t-1) <= n < psi_t takes t bases; the bands for t = 8, 10 and 11 are empty
+    low, high = _PSI[t - 2], _PSI[t - 1]
+    rng = random.Random(t)
+    drawn = [rng.randrange(low, high) | 1 for _ in range(300)] if low < high else []
+    for n in drawn + [high - 2, high + 2]:
+        if n >= PRIME_TEST_CEILING:
+            with pytest.raises(ValueError, match=str(PRIME_TEST_CEILING)):
+                is_prime(n)
+            continue
+        modular_powers.clear()
+        verdict = is_prime(n)
+        assert verdict == all(sprp(n, a) for a in _BASES), n
+        if verdict and low <= n < high:
+            assert len(modular_powers) == t, n
+
+
+@pytest.mark.parametrize(
+    "n, powers",
+    [(1693, 1), (100003, 2), (99999999977, 5), (2**61 - 1, 9), (10**24 + 7, 13)],
+)
+def test_a_prime_takes_one_modular_power_per_base_its_size_needs(n, powers, modular_powers):
+    assert is_prime(n)
+    assert len(modular_powers) == powers
 
 
 def test_accepts_a_large_mersenne_prime():

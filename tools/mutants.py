@@ -142,8 +142,8 @@ MUTANTS = [
     ),
     Mutant(
         "primes.py",
-        "for a in _BASES:",
-        "for a in _BASES[:1]:",
+        "for a, psi in zip(_BASES, _PSI):",
+        "for a, psi in zip(_BASES[:1], _PSI):",
         "is_prime tests base 2 only: strong pseudoprimes to base 2 pass",
     ),
     Mutant(
@@ -372,6 +372,24 @@ MUTANTS = [
         '{b.modulus}")\n',
         "",
         "_require_ring compares orders only: an integer series and a residue series mix",
+    ),
+    Mutant(
+        "primes.py",
+        "if n < psi:",
+        "if n <= psi:",
+        "is_prime stops at n = psi_t after t bases: each psi_t reads as prime",
+    ),
+    Mutant(
+        "primes.py",
+        "zip(_BASES, _PSI)",
+        "zip(_BASES, _PSI[1:])",
+        "is_prime stops one base early: psi_t passes the t bases it runs",
+    ),
+    Mutant(
+        "primes.py",
+        "        if n < psi:\n            return True\n",
+        "",
+        "is_prime runs all thirteen bases on every n: the same answers, 13 modular powers each",
     ),
 ]
 
